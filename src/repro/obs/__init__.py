@@ -27,7 +27,9 @@ The v2 telemetry plane (always-on for the serving stack) adds:
   regression gate;
 * :mod:`repro.obs.energy` — per-request energy breakdowns,
   shared-fetch radio splits, the attribution conservation ledger, and
-  windowed energy telemetry.
+  windowed energy telemetry;
+* :mod:`repro.obs.record` — the one per-request record every serve
+  observer folds over.
 """
 
 from repro.obs.energy import (

@@ -106,11 +106,8 @@ def render_prometheus(
     for name, snap in sorted(registry.snapshot().items()):
         flat = prometheus_name(name, prefix)
         kind = snap.get("type")
-        if kind == "counter":
-            lines.append(f"# TYPE {flat} counter")
-            lines.append(f"{flat} {_format_value(snap['value'])}")
-        elif kind == "gauge":
-            lines.append(f"# TYPE {flat} gauge")
+        if kind in ("counter", "gauge"):
+            lines.append(f"# TYPE {flat} {kind}")
             lines.append(f"{flat} {_format_value(snap['value'])}")
         elif kind == "histogram":
             lines.append(f"# TYPE {flat} summary")

@@ -6,8 +6,9 @@ answers "what *was* happening when it went wrong".  A
 :class:`~repro.serve.telemetry.ServeTelemetry` and keeps bounded ring
 buffers of the recent past:
 
-* completed request records (segment breakdown, tier, energy, per-request
-  hop re-sum error);
+* completed request records (each a
+  :class:`~repro.obs.record.RequestRecord`'s bundle row: segment
+  breakdown, tier, energy, per-request hop re-sum error);
 * shed events with their typed reasons;
 * per-bucket window rows (counts, shed fractions by reason, sojourn and
   queue-wait extremes, energy-ledger deltas);
@@ -83,24 +84,9 @@ def _json_safe(value: Any) -> Any:
 
 
 class _BucketAccumulator:
-    """Per-bucket counters reset on every telemetry tick (O(1) memory)."""
-
-    __slots__ = (
-        "completed",
-        "hits",
-        "shed",
-        "shed_reasons",
-        "sojourn_sum",
-        "sojourn_max",
-        "queue_wait_max",
-        "hop_err_s_max",
-        "hop_err_j_max",
-    )
+    """Per-bucket counters, replaced on every telemetry tick (O(1) memory)."""
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
         self.completed = 0
         self.hits = 0
         self.shed = 0
@@ -160,27 +146,23 @@ class FlightRecorder:
         alert_ring: int = DEFAULT_ALERT_RING,
         flush_ring: int = DEFAULT_FLUSH_RING,
     ) -> None:
-        for name, cap in (
-            ("request_ring", request_ring),
-            ("shed_ring", shed_ring),
-            ("bucket_ring", bucket_ring),
-            ("edge_ring", edge_ring),
-            ("alert_ring", alert_ring),
-            ("flush_ring", flush_ring),
-        ):
+        capacities = {
+            "request": request_ring,
+            "shed": shed_ring,
+            "bucket": bucket_ring,
+            "edge": edge_ring,
+            "alert": alert_ring,
+            "flush": flush_ring,
+        }
+        for kind, cap in capacities.items():
             if cap <= 0:
-                raise ValueError(f"{name} must be positive, got {cap}")
+                raise ValueError(f"{kind}_ring must be positive, got {cap}")
         self.config = dict(config) if config else {}
         self.seed = seed
         self.triggers = triggers
         self._lock = threading.Lock()
         self._rings: Dict[str, deque] = {
-            "request": deque(maxlen=request_ring),
-            "shed": deque(maxlen=shed_ring),
-            "bucket": deque(maxlen=bucket_ring),
-            "edge": deque(maxlen=edge_ring),
-            "alert": deque(maxlen=alert_ring),
-            "flush": deque(maxlen=flush_ring),
+            kind: deque(maxlen=cap) for kind, cap in capacities.items()
         }
         #: records ever seen per ring (len(ring) + evicted)
         self.seen: Dict[str, int] = {kind: 0 for kind in self._rings}
@@ -195,9 +177,10 @@ class FlightRecorder:
 
     def attach(self, telemetry) -> "FlightRecorder":
         """Hook into a :class:`~repro.serve.telemetry.ServeTelemetry`:
-        the telemetry plane forwards sheds/responses/alerts and the
-        per-bucket tick."""
+        the telemetry plane folds every request record and shed into
+        the recorder, and forwards alerts and the per-bucket tick."""
         telemetry.flight = self
+        telemetry.folds.append(self)
         telemetry.on_tick.append(self.on_tick)
         self._telemetry = telemetry
         return self
@@ -209,59 +192,30 @@ class FlightRecorder:
 
     # -- capture hooks -------------------------------------------------------
 
-    def on_response(self, t: float, response) -> None:
-        """Record one completed request (called by the telemetry plane)."""
-        segments = response.breakdown()
-        sojourn = response.sojourn_s
-        # Per-request re-sum checks: the segment telescoping invariant
-        # and the energy components-vs-total invariant, live instead of
-        # end-of-run only (the trigger engine watches these).
-        err_s = abs(sum(segments.values()) - sojourn)
-        energy = response.energy
-        if energy is not None:
-            energy_j = energy.total_j
-            err_j = abs(
-                ((energy.storage_j + energy.render_j) + energy.base_j)
-                + energy.radio_j
-                - energy_j
-            )
-        else:
-            energy_j = None
-            err_j = 0.0
-        record = {
-            "kind": "request",
-            "t": t,
-            "trace_id": response.trace_id,
-            "device_id": response.request.device_id,
-            "key": response.request.key,
-            "hit": response.outcome.hit,
-            "shared": response.shared_fetch,
-            "tier": response.tier,
-            "edge_node": response.edge_node,
-            "sojourn_s": sojourn,
-            "segments": segments,
-            "energy_j": energy_j,
-            "hop_err_s": err_s,
-            "hop_err_j": err_j,
-        }
+    def on_record(self, record) -> None:
+        """Record one completed request (a
+        :class:`~repro.obs.record.RequestRecord`, folded in by the
+        telemetry plane); its bundle row is the record's ``to_dict()``."""
+        row = record.to_dict()
+        sojourn = record.sojourn_s
         with self._lock:
-            self._append("request", record)
+            self._append("request", row)
             bkt = self._bkt
             bkt.completed += 1
-            if response.outcome.hit:
+            if record.hit:
                 bkt.hits += 1
             bkt.sojourn_sum += sojourn
             if sojourn > bkt.sojourn_max:
                 bkt.sojourn_max = sojourn
-            queue_wait = segments.get("queue_wait", 0.0)
+            queue_wait = record.segments.get("queue_wait", 0.0)
             if queue_wait > bkt.queue_wait_max:
                 bkt.queue_wait_max = queue_wait
-            if err_s > bkt.hop_err_s_max:
-                bkt.hop_err_s_max = err_s
-            if err_j > bkt.hop_err_j_max:
-                bkt.hop_err_j_max = err_j
+            if record.hop_err_s > bkt.hop_err_s_max:
+                bkt.hop_err_s_max = record.hop_err_s
+            if record.hop_err_j > bkt.hop_err_j_max:
+                bkt.hop_err_j_max = record.hop_err_j
         if self.triggers is not None:
-            self.triggers.on_response(t, record, self)
+            self.triggers.on_record(record, self)
 
     def on_shed(self, t: float, reply) -> None:
         """Record one typed shed event (called by the telemetry plane)."""
@@ -316,7 +270,7 @@ class FlightRecorder:
                 "requests": ledger.requests,
             }
             self._append("bucket", row)
-            self._bkt.reset()
+            self._bkt = _BucketAccumulator()
             self._last_tick_t = t
             self._last_ledger = (attributed, timeline)
             edge_stats_fn = getattr(telemetry, "edge_stats_fn", None)
@@ -369,10 +323,7 @@ class FlightRecorder:
     def dropped(self) -> Dict[str, int]:
         """Records evicted per ring since construction."""
         with self._lock:
-            return {
-                kind: self.seen[kind] - len(ring)
-                for kind, ring in sorted(self._rings.items())
-            }
+            return self._dropped_locked()
 
     def status(self) -> Dict[str, Any]:
         """One JSON-ready health document (the ``flight`` section of the
@@ -384,9 +335,7 @@ class FlightRecorder:
             doc: Dict[str, Any] = {
                 "retained": retained,
                 "seen": dict(sorted(self.seen.items())),
-                "dropped": {
-                    kind: self.seen[kind] - retained[kind] for kind in retained
-                },
+                "dropped": self._dropped_locked(),
                 "bundles": list(self.bundles),
             }
         if self.triggers is not None:
@@ -412,10 +361,7 @@ class FlightRecorder:
             records: List[Any] = []
             for ring in self._rings.values():
                 records.extend(ring)
-            dropped = {
-                kind: self.seen[kind] - len(ring)
-                for kind, ring in sorted(self._rings.items())
-            }
+            dropped = self._dropped_locked()
             seen = dict(sorted(self.seen.items()))
         records.append(trigger)
         records.sort(
@@ -478,6 +424,13 @@ class FlightRecorder:
         self._seq += 1
         self.seen[kind] += 1
         self._rings[kind].append(record)
+
+    def _dropped_locked(self) -> Dict[str, int]:
+        """Records evicted per ring (caller holds the lock)."""
+        return {
+            kind: self.seen[kind] - len(ring)
+            for kind, ring in sorted(self._rings.items())
+        }
 
     def record_trigger(self, record: Dict[str, Any]) -> None:
         """Stamp a trigger record's sequence number (the trigger engine

@@ -6,7 +6,7 @@ diffs the *incident* window against the *trailing baseline* window the
 trigger engine captured after it:
 
 * per-segment p99 latency deltas over
-  :data:`~repro.serve.requests.SEGMENT_NAMES` (queue_wait,
+  :data:`~repro.obs.record.SEGMENT_NAMES` (queue_wait,
   refresh_blocked, edge_hop, edge_serve, batch_wait, service);
 * shed-rate deltas by typed reason, mapped onto the segment whose
   resource exhausted (``device-queue-full``/``server-busy`` shed at the
@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.benchgate import compare
 from repro.obs.flight import EVENTS_FILENAME, MANIFEST_FILENAME
+from repro.obs.record import SEGMENT_NAMES, TIER_NAMES
+from repro.obs.registry import nearest_rank
 
 __all__ = [
     "REASON_SEGMENT",
@@ -46,19 +47,6 @@ __all__ = [
     "postmortem_main",
     "render_report",
 ]
-
-#: Mirror of :data:`repro.serve.requests.SEGMENT_NAMES` — obs must not
-#: import serve (layering), and bundle records are the contract anyway.
-SEGMENT_NAMES = (
-    "queue_wait",
-    "refresh_blocked",
-    "edge_hop",
-    "edge_serve",
-    "batch_wait",
-    "service",
-)
-
-TIER_NAMES = ("device", "edge", "origin")
 
 #: Typed shed reason -> the segment whose resource ran out.
 REASON_SEGMENT = {
@@ -101,12 +89,8 @@ def load_bundle(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
 
 
 def percentile(values: List[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile (None on empty input)."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
+    """Nearest-rank percentile of unsorted ``values`` (None when empty)."""
+    return nearest_rank(sorted(values), q / 100) if values else None
 
 
 def _in_window(t: float, window: List[float], half_open: bool) -> bool:

@@ -12,6 +12,8 @@ aggregates without retaining per-event objects:
   shrinks with reservoir size.
 * :class:`P2Quantile` — the P² single-quantile estimator (Jain &
   Chlamtac 1985): five markers, O(1) memory, no samples retained.
+* :func:`nearest_rank` — the one nearest-rank quantile routine every
+  exact percentile in the repo goes through.
 
 All structures are deterministic: the reservoir uses a seeded PRNG so a
 replay produces identical percentile estimates run to run.
@@ -39,7 +41,19 @@ __all__ = [
     "P2Quantile",
     "StreamingHistogram",
     "get_registry",
+    "nearest_rank",
 ]
+
+
+def nearest_rank(ordered: List[float], fraction: float) -> float:
+    """Nearest-rank quantile of a non-empty, ascending list.
+
+    The smallest element with at least ``fraction`` of the list at or
+    below it: ``ordered[ceil(fraction * n) - 1]`` (the first element
+    when that rank is 0).  Callers pass ``q / 100`` for a percentile
+    ``q`` and decide for themselves what an empty list yields.
+    """
+    return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
 class Counter:
@@ -210,9 +224,8 @@ class P2Quantile:
         if not self._heights:
             return float("nan")
         if len(self._heights) < 5:
-            # Exact quantile over the few retained samples (nearest-rank).
-            rank = max(0, math.ceil(self.p * len(self._heights)) - 1)
-            return self._heights[rank]
+            # Exact quantile over the few retained samples.
+            return nearest_rank(self._heights, self.p)
         return self._heights[2]
 
 
@@ -296,8 +309,7 @@ class StreamingHistogram:
             if q == 100:
                 return self.max
             ordered = sorted(self._sample)
-        rank = max(0, math.ceil(q / 100 * len(ordered)) - 1)
-        return ordered[rank]
+        return nearest_rank(ordered, q / 100)
 
     def merge(self, other: "StreamingHistogram") -> None:
         """Fold ``other`` into this histogram.

@@ -47,7 +47,7 @@ Policies are plain data (JSON-loadable) so CI can keep them in a file::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.timeseries import WindowedCounter
@@ -55,6 +55,9 @@ from repro.obs.timeseries import WindowedCounter
 __all__ = ["SLOAlert", "SLOMonitor", "SLOPolicy", "SLORule"]
 
 RULE_KINDS = ("latency", "hit_rate", "shed_rate", "energy", "battery_burn")
+
+#: The optional per-kind threshold fields of a rule.
+_THRESHOLDS = ("threshold_s", "threshold_j", "threshold")
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,9 @@ class SLORule:
             "kind": self.kind,
             "objective": self.objective,
         }
-        if self.threshold_s is not None:
-            out["threshold_s"] = self.threshold_s
-        if self.threshold_j is not None:
-            out["threshold_j"] = self.threshold_j
-        if self.threshold is not None:
-            out["threshold"] = self.threshold
+        for name in _THRESHOLDS:
+            if getattr(self, name) is not None:
+                out[name] = getattr(self, name)
         return out
 
     @classmethod
@@ -129,15 +129,7 @@ class SLORule:
             name=raw["name"],
             kind=raw["kind"],
             objective=float(raw["objective"]),
-            threshold_s=(
-                float(raw["threshold_s"]) if "threshold_s" in raw else None
-            ),
-            threshold_j=(
-                float(raw["threshold_j"]) if "threshold_j" in raw else None
-            ),
-            threshold=(
-                float(raw["threshold"]) if "threshold" in raw else None
-            ),
+            **{name: float(raw[name]) for name in _THRESHOLDS if name in raw},
         )
 
 
@@ -198,14 +190,7 @@ class SLOAlert:
     budget: float
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "t": self.t,
-            "rule": self.rule,
-            "kind": self.kind,
-            "burn_long": self.burn_long,
-            "burn_short": self.burn_short,
-            "budget": self.budget,
-        }
+        return asdict(self)
 
 
 class _RuleState:

@@ -32,7 +32,8 @@ Instruments:
   nearest-rank over the window's pooled reservoirs.
 * :class:`ExemplarRing` — per-bucket top-K slow-request exemplars, each
   carrying its full segment timeline (a
-  :meth:`~repro.obs.trace.TraceContext.to_dict` payload).
+  :meth:`~repro.obs.record.RequestRecord.exemplar` payload, rendered
+  only when the ring is read).
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.registry import StreamingHistogram
+from repro.obs.record import RequestRecord
+from repro.obs.registry import StreamingHistogram, nearest_rank
 
 __all__ = [
     "ExemplarRing",
@@ -98,14 +100,6 @@ class _BucketRing:
             if self._index[slot] == idx:
                 out.append((idx, self._payload[slot]))
         return out
-
-    def window_bounds(self, t: float) -> Tuple[float, float]:
-        """The half-open time span the window at ``t`` covers."""
-        newest = self.bucket_index(t)
-        return (
-            (newest - self.n_buckets + 1) * self.width_s,
-            (newest + 1) * self.width_s,
-        )
 
 
 class WindowedCounter:
@@ -266,8 +260,7 @@ class WindowedHistogram:
         if q == 100:
             return max(h.max for h in live)
         pooled = sorted(x for h in live for x in h.samples())
-        rank = max(0, math.ceil(q / 100 * len(pooled)) - 1)
-        return pooled[rank]
+        return nearest_rank(pooled, q / 100)
 
     def mean(self, t: float) -> float:
         live = [h for _, h in self._ring.live(t) if h.count]
@@ -314,6 +307,10 @@ class ExemplarRing:
     request.  Retention is per bucket (so a quiet minute cannot be
     crowded out of the ring by a busy one) and bounded to ``k`` entries
     per bucket, kept in descending latency order.
+
+    An entry is a payload dict or a
+    :class:`~repro.obs.record.RequestRecord`; a record renders its
+    payload in :meth:`top`, so only exemplars that are read pay for it.
     """
 
     def __init__(
@@ -324,13 +321,13 @@ class ExemplarRing:
         self.k = k
         self._ring = _BucketRing(width_s, n_buckets, list)
 
-    def observe(self, t: float, latency_s: float, payload: Dict[str, Any]) -> None:
+    def observe(self, t: float, latency_s: float, entry: Any) -> None:
         """Offer one completed request; retained iff it is among the
         bucket's ``k`` slowest so far."""
-        bucket: List[Tuple[float, Dict[str, Any]]] = self._ring.payload_at(t)
+        bucket: List[Tuple[float, Any]] = self._ring.payload_at(t)
         if len(bucket) == self.k and latency_s <= bucket[-1][0]:
             return
-        bucket.append((latency_s, payload))
+        bucket.append((latency_s, entry))
         bucket.sort(key=lambda pair: -pair[0])
         del bucket[self.k:]
 
@@ -338,13 +335,15 @@ class ExemplarRing:
         """The ``k`` slowest exemplars across the whole window at ``t``."""
         k = self.k if k is None else k
         entries = [
-            (latency, payload)
-            for _, bucket in self._ring.live(t)
-            for latency, payload in bucket
+            pair for _, bucket in self._ring.live(t) for pair in bucket
         ]
         entries.sort(key=lambda pair: -pair[0])
         return [
-            dict(payload, latency_s=latency) for latency, payload in entries[:k]
+            dict(
+                entry.exemplar() if isinstance(entry, RequestRecord) else entry,
+                latency_s=latency,
+            )
+            for latency, entry in entries[:k]
         ]
 
     def snapshot(self, t: float) -> Dict[str, Any]:

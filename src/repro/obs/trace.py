@@ -175,14 +175,6 @@ class TraceContext:
             if i > 0
         ]
 
-    def segment_s(self, phase: str) -> float:
-        """Total seconds spent in ``phase`` (0.0 if never marked)."""
-        return sum(
-            t - self.marks[i - 1][1]
-            for i, (name, t) in enumerate(self.marks)
-            if i > 0 and name == phase
-        )
-
     def breakdown(self) -> Dict[str, float]:
         """Phase -> seconds; keys in first-marked order."""
         out: Dict[str, float] = {}

@@ -98,28 +98,19 @@ class TriggerEngine:
 
     # -- event hooks (called by FlightRecorder) ------------------------------
 
-    def on_response(self, t: float, record: Dict[str, Any], flight) -> None:
+    def on_record(self, record, flight) -> None:
+        """Fire when a request's re-sum error (seconds first, then
+        joules) exceeds its tolerance."""
         cfg = self.config
-        if (
-            cfg.hop_resum_tol_s is not None
-            and record["hop_err_s"] > cfg.hop_resum_tol_s
+        for name, tol in (
+            ("hop_err_s", cfg.hop_resum_tol_s),
+            ("hop_err_j", cfg.hop_resum_tol_j),
         ):
-            self._fire(
-                t,
-                "hop-resum-error",
-                flight,
-                {"hop_err_s": record["hop_err_s"], "trace_id": record["trace_id"]},
-            )
-        elif (
-            cfg.hop_resum_tol_j is not None
-            and record["hop_err_j"] > cfg.hop_resum_tol_j
-        ):
-            self._fire(
-                t,
-                "hop-resum-error",
-                flight,
-                {"hop_err_j": record["hop_err_j"], "trace_id": record["trace_id"]},
-            )
+            err = getattr(record, name)
+            if tol is not None and err > tol:
+                detail = {name: err, "trace_id": record.trace_id}
+                self._fire(record.t, "hop-resum-error", flight, detail)
+                return
 
     def on_alerts(self, t: float, alerts, flight) -> None:
         if self.config.slo_alert and alerts:

@@ -18,13 +18,14 @@ admission control held up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.edge.tier import EdgeTier, EdgeTopology
 from repro.logs.generator import SearchLog
 from repro.logs.schema import MONTH_SECONDS, UserClass
-from repro.obs.registry import MetricsRegistry
+from repro.obs.record import TIER_NAMES, RequestRecord, hop_split
+from repro.obs.registry import MetricsRegistry, nearest_rank
 from repro.obs.slo import SLOPolicy
 from repro.obs.trace import get_tracer
 from repro.pocketsearch.content import (
@@ -54,15 +55,8 @@ from repro.sim.replay import (
 
 __all__ = ["ServeReport", "serve_replay", "run_loadtest", "run_workload"]
 
-
-def _percentile(ordered: List[float], q: float) -> float:
-    """Nearest-rank percentile of a pre-sorted list (nan when empty)."""
-    if not ordered:
-        return float("nan")
-    import math
-
-    rank = max(0, math.ceil(q / 100 * len(ordered)) - 1)
-    return ordered[rank]
+#: Trace segments whose p99 the report carries.
+_SAMPLED_SEGMENTS = ("queue_wait", "refresh_blocked", "batch_wait", "service")
 
 
 @dataclass
@@ -147,25 +141,15 @@ class ServeReport:
     def to_metrics(self) -> Dict[str, float]:
         """Flat mapping for run manifests / BENCH emission."""
         out = {
-            "requests": self.requests,
-            "completed": self.completed,
-            "shed": self.shed,
-            "shed_rate": self.shed_rate,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "fetches": self.fetches,
-            "piggybacked": self.piggybacked,
-            "batch_efficiency": self.batch_efficiency,
-            "duration_s": self.duration_s,
-            "throughput_rps": self.throughput_rps,
-            "sojourn_p50_s": self.sojourn_p50_s,
-            "sojourn_p99_s": self.sojourn_p99_s,
-            "sojourn_max_s": self.sojourn_max_s,
-            "queue_wait_p99_s": self.queue_wait_p99_s,
-            "refresh_blocked_p99_s": self.refresh_blocked_p99_s,
-            "batch_wait_p99_s": self.batch_wait_p99_s,
-            "service_p99_s": self.service_p99_s,
+            name: getattr(self, name)
+            for name in (
+                "requests", "completed", "shed", "shed_rate", "hits",
+                "misses", "hit_rate", "fetches", "piggybacked",
+                "batch_efficiency", "duration_s", "throughput_rps",
+                "sojourn_p50_s", "sojourn_p99_s", "sojourn_max_s",
+                "queue_wait_p99_s", "refresh_blocked_p99_s",
+                "batch_wait_p99_s", "service_p99_s",
+            )
         }
         # Energy metrics are only meaningful when responses carried
         # breakdowns; NaNs are omitted so manifests stay clean JSON for
@@ -213,117 +197,126 @@ class ServeReport:
         return out
 
 
-def _build_report(
-    replies: List[object], server: CloudletServer, duration_s: float
-) -> ServeReport:
-    report = ServeReport(
-        requests=len(replies),
-        fetches=server.batcher.fetches,
-        piggybacked=server.batcher.piggybacked,
-    )
-    edge_tier = server.edge
-    sojourns: List[float] = []
-    waits: List[float] = []
-    refresh_blocked: List[float] = []
-    batch_waits: List[float] = []
-    services: List[float] = []
-    edge_hops: List[float] = []
-    energies: List[float] = []
-    hit_energies: List[float] = []
-    miss_energies: List[float] = []
-    hop_err_s = 0.0
-    hop_err_j = 0.0
-    for reply in replies:
-        if isinstance(reply, Overloaded):
-            report.shed += 1
-            report.shed_reasons[reply.reason] = (
-                report.shed_reasons.get(reply.reason, 0) + 1
-            )
-            continue
-        assert isinstance(reply, ServeResponse)
+class _ReportFold:
+    """A run's :class:`ServeReport`, folded from the telemetry plane's
+    request records and sheds while the run is live.
+
+    Percentiles need every sample, so the fold keeps a fixed table with
+    one row per scheduled request (``capacity``), bounded by the run's
+    schedule.  Attributed joules keep the trace id, so the hit and miss
+    means sum in submission order.
+    """
+
+    def __init__(self, capacity: int, edge: bool) -> None:
+        self.report = ServeReport(requests=capacity)
+        self.edge = edge
+        self.t_last = 0.0
+        names = ("sojourn", "energy") + _SAMPLED_SEGMENTS
+        self.columns: Dict[str, List[Any]] = {
+            name: [None] * capacity
+            for name in names + (("edge_hop",) if edge else ())
+        }
+        self.hop_err_s = 0.0
+        self.hop_err_j = 0.0
+
+    def on_shed(self, t: float, reply: Overloaded) -> None:
+        reasons = self.report.shed_reasons
+        self.report.shed += 1
+        reasons[reply.reason] = reasons.get(reply.reason, 0) + 1
+
+    def on_record(self, record: RequestRecord) -> None:
+        report = self.report
+        row = report.completed
         report.completed += 1
-        if reply.outcome.hit:
+        if record.hit:
             report.hits += 1
         else:
             report.misses += 1
-        sojourns.append(reply.sojourn_s)
-        breakdown = reply.breakdown()
-        waits.append(breakdown["queue_wait"])
-        refresh_blocked.append(breakdown["refresh_blocked"])
-        batch_waits.append(breakdown["batch_wait"])
-        services.append(breakdown["service"])
+        self.t_last = max(self.t_last, record.t)
+        columns, segments = self.columns, record.segments
+        columns["sojourn"][row] = record.sojourn_s
+        for name in _SAMPLED_SEGMENTS:
+            columns[name][row] = segments[name]
+        if record.energy_j is not None:
+            columns["energy"][row] = (record.trace_id, record.hit, record.energy_j)
+        if self.edge:
+            columns["edge_hop"][row] = segments["edge_hop"] + segments["edge_serve"]
+            # The per-tier joules re-sum in the record's component order,
+            # so their error is the record's own; seconds re-sum per tier.
+            hops = hop_split(segments, record.energy, record.tier)
+            lat = [hops[name]["latency_s"] for name in TIER_NAMES]
+            err_s = abs((lat[0] + lat[1]) + lat[2] - record.sojourn_s)
+            self.hop_err_s = max(self.hop_err_s, err_s)
+            self.hop_err_j = max(self.hop_err_j, record.hop_err_j)
+
+    def finish(self, server: CloudletServer, duration_s: float) -> ServeReport:
+        """Close the run out: percentiles, edge settlement, energy and
+        battery accounting, the SLO verdict and the exemplars."""
+        report = self.report
+        report.fetches = server.batcher.fetches
+        report.piggybacked = server.batcher.piggybacked
+        report.duration_s = max(duration_s, self.t_last)
+        columns = self.columns
+        for values in columns.values():
+            del values[report.completed:]
+        joules = sorted(e for e in columns.pop("energy") if e is not None)
+        energies = sorted(j for _, _, j in joules)
+        for values in columns.values():
+            values.sort()
+        sojourns = columns["sojourn"]
+        for attr, values, q in (
+            ("sojourn_p50_s", sojourns, 50),
+            ("sojourn_p99_s", sojourns, 99),
+            ("queue_wait_p99_s", columns["queue_wait"], 99),
+            ("refresh_blocked_p99_s", columns["refresh_blocked"], 99),
+            ("batch_wait_p99_s", columns["batch_wait"], 99),
+            ("service_p99_s", columns["service"], 99),
+            ("edge_hop_p99_s", columns.get("edge_hop", []), 99),
+            ("energy_j_p50", energies, 50),
+            ("energy_j_p99", energies, 99),
+        ):
+            if values:
+                setattr(report, attr, nearest_rank(values, q / 100))
+        if sojourns:
+            report.sojourn_max_s = sojourns[-1]
+        edge_tier = server.edge
         if edge_tier is not None:
-            edge_hops.append(breakdown["edge_hop"] + breakdown["edge_serve"])
-            hops = reply.hop_breakdown()
-            lat_sum = (
-                hops["device"]["latency_s"] + hops["edge"]["latency_s"]
-            ) + hops["origin"]["latency_s"]
-            j_sum = (
-                hops["device"]["energy_j"] + hops["edge"]["energy_j"]
-            ) + hops["origin"]["energy_j"]
-            hop_err_s = max(hop_err_s, abs(lat_sum - reply.sojourn_s))
-            hop_err_j = max(hop_err_j, abs(j_sum - reply.energy_j))
-        if reply.energy is not None:
-            joules = reply.energy.total_j
-            energies.append(joules)
-            (hit_energies if reply.outcome.hit else miss_energies).append(
-                joules
-            )
-        duration_s = max(duration_s, reply.completed_at)
-    report.duration_s = duration_s
-    for values, attr in (
-        (sojourns, None),
-        (waits, "queue_wait_p99_s"),
-        (refresh_blocked, "refresh_blocked_p99_s"),
-        (batch_waits, "batch_wait_p99_s"),
-        (services, "service_p99_s"),
-    ):
-        values.sort()
-        if attr is not None:
-            setattr(report, attr, _percentile(values, 99))
-    report.sojourn_p50_s = _percentile(sojourns, 50)
-    report.sojourn_p99_s = _percentile(sojourns, 99)
-    report.sojourn_max_s = sojourns[-1] if sojourns else float("nan")
-    if edge_tier is not None:
-        # End-of-run settlement: propagate every pending popularity
-        # delta so the origin's books are complete before snapshotting.
-        edge_tier.flush_all()
-        report.edge = edge_tier.stats()
-        edge_hops.sort()
-        report.edge_hop_p99_s = _percentile(edge_hops, 99)
-        report.hop_resum_error_s = hop_err_s
-        report.hop_resum_error_j = hop_err_j
-    if energies:
-        energies.sort()
-        report.energy_j_total = sum(energies)
-        report.energy_j_per_query = report.energy_j_total / len(energies)
-        report.energy_j_p50 = _percentile(energies, 50)
-        report.energy_j_p99 = _percentile(energies, 99)
-        if hit_energies:
-            report.hit_energy_j = sum(hit_energies) / len(hit_energies)
-        if miss_energies:
-            report.miss_energy_j = sum(miss_energies) / len(miss_energies)
-        if hit_energies and miss_energies and report.hit_energy_j > 0:
-            report.hit_miss_energy_ratio = (
-                report.miss_energy_j / report.hit_energy_j
-            )
-    telemetry = server.telemetry
-    telemetry.finalize()
-    ledger = telemetry.energy.ledger
-    if ledger.requests:
-        report.attributed_radio_j = ledger.attributed_j
-        report.timeline_radio_j = ledger.timeline_j
-        report.conservation_error_j = ledger.conservation_error_j
-        report.energy_conserved = ledger.conserved()
-    batteries = telemetry.batteries.snapshot(telemetry.t_last)
-    if batteries["n_devices"]:
-        report.battery_capacity_j = batteries["capacity_j"]
-        report.battery_min_level = batteries["min_level"]
-        report.battery_day_fraction = batteries["mean_burn_per_day"]
-        report.queries_per_charge = batteries["queries_per_charge"]
-    report.slo = telemetry.verdict()
-    report.exemplars = telemetry.exemplars.top(telemetry.t_last)
-    return report
+            # End-of-run settlement: propagate every pending popularity
+            # delta so the origin's books are complete before snapshotting.
+            edge_tier.flush_all()
+            report.edge = edge_tier.stats()
+            report.hop_resum_error_s = self.hop_err_s
+            report.hop_resum_error_j = self.hop_err_j
+        if energies:
+            report.energy_j_total = sum(energies)
+            report.energy_j_per_query = report.energy_j_total / len(energies)
+            hit_energies = [j for _, hit, j in joules if hit]
+            miss_energies = [j for _, hit, j in joules if not hit]
+            if hit_energies:
+                report.hit_energy_j = sum(hit_energies) / len(hit_energies)
+            if miss_energies:
+                report.miss_energy_j = sum(miss_energies) / len(miss_energies)
+            if hit_energies and miss_energies and report.hit_energy_j > 0:
+                report.hit_miss_energy_ratio = (
+                    report.miss_energy_j / report.hit_energy_j
+                )
+        telemetry = server.telemetry
+        telemetry.finalize()
+        ledger = telemetry.energy.ledger
+        if ledger.requests:
+            report.attributed_radio_j = ledger.attributed_j
+            report.timeline_radio_j = ledger.timeline_j
+            report.conservation_error_j = ledger.conservation_error_j
+            report.energy_conserved = ledger.conserved()
+        batteries = telemetry.batteries.snapshot(telemetry.t_last)
+        if batteries["n_devices"]:
+            report.battery_capacity_j = batteries["capacity_j"]
+            report.battery_min_level = batteries["min_level"]
+            report.battery_day_fraction = batteries["mean_burn_per_day"]
+            report.queries_per_charge = batteries["queries_per_charge"]
+        report.slo = telemetry.verdict()
+        report.exemplars = telemetry.exemplars.top(telemetry.t_last)
+        return report
 
 
 # -- open-loop submission ---------------------------------------------------
@@ -352,14 +345,30 @@ async def _submit_schedule(
     return [f.result() for f in futures]
 
 
-async def run_workload(server: CloudletServer, workload: Workload) -> ServeReport:
-    """Drive ``server`` with ``workload`` and report what happened."""
+async def _serve_schedule(
+    server: CloudletServer,
+    schedule: List[Tuple[float, ServeRequest]],
+    duration_s: float,
+) -> Tuple[List[object], ServeReport]:
+    """Run ``schedule`` through ``server``; the replies and the report
+    folded from the run's request records."""
+    fold = _ReportFold(len(schedule), edge=server.edge is not None)
+    server.telemetry.folds.append(fold)
     server.start()
     try:
-        replies = await _submit_schedule(server, workload.arrivals)
+        replies = await _submit_schedule(server, schedule)
     finally:
         await server.close()
-    return _build_report(replies, server, workload.duration_s)
+        server.telemetry.folds.remove(fold)
+    return replies, fold.finish(server, duration_s)
+
+
+async def run_workload(server: CloudletServer, workload: Workload) -> ServeReport:
+    """Drive ``server`` with ``workload`` and report what happened."""
+    _, report = await _serve_schedule(
+        server, workload.arrivals, workload.duration_s
+    )
+    return report
 
 
 # -- replay equivalence -----------------------------------------------------
@@ -509,11 +518,7 @@ async def _serve_mode(
             )
     schedule.sort(key=lambda pair: pair[0])
 
-    server.start()
-    try:
-        replies = await _submit_schedule(server, schedule)
-    finally:
-        await server.close()
+    replies, report = await _serve_schedule(server, schedule, t_end - t_start)
 
     # Fold replies back into per-user collectors in submission order, so
     # exact collectors hold identical outcome sequences to the offline
@@ -532,7 +537,6 @@ async def _serve_mode(
                 user_id=uid, user_class=user_class, metrics=collector
             )
         )
-    report = _build_report(replies, server, t_end - t_start)
     return users, report
 
 
@@ -604,12 +608,7 @@ def run_loadtest(
             edge.seed_from_scores(_edge_warm_keys(content))
     server = CloudletServer(
         backend_factory,
-        ServeConfig(
-            queue_depth=serve_config.queue_depth,
-            max_inflight=serve_config.max_inflight,
-            time_scale=serve_config.time_scale,
-            refresh_interval_s=refresh_interval_s,
-        ),
+        replace(serve_config, refresh_interval_s=refresh_interval_s),
         registry=registry if registry is not None else MetricsRegistry(),
         refresh_fn=refresh_fn,
         telemetry=telemetry,

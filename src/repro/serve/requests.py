@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.obs.energy import EnergyBreakdown
+from repro.obs.record import SEGMENT_NAMES, TIER_NAMES, hop_split
 from repro.obs.trace import TraceContext
 from repro.pocketsearch.content import DEFAULT_RECORD_BYTES
 from repro.sim.metrics import QueryOutcome
@@ -18,20 +19,6 @@ __all__ = [
     "ServeReply",
     "TIER_NAMES",
 ]
-
-#: Segment names every response breakdown reports, in causal order.
-#: The edge segments stay 0.0 when no cloudlet tier is configured.
-SEGMENT_NAMES = (
-    "queue_wait",
-    "refresh_blocked",
-    "edge_hop",
-    "edge_serve",
-    "batch_wait",
-    "service",
-)
-
-#: The serving tiers a request can be answered by, fetch-chain order.
-TIER_NAMES = ("device", "edge", "origin")
 
 
 @dataclass(frozen=True)
@@ -106,32 +93,9 @@ class ServeResponse:
         return self.trace.trace_id if self.trace is not None else None
 
     @property
-    def refresh_blocked_s(self) -> float:
-        """Dequeue-to-service time lost waiting out a session refresh."""
-        return self.trace.segment_s("refresh_blocked") if self.trace else 0.0
-
-    @property
-    def batch_wait_s(self) -> float:
-        """Time spent inside the shared single-flight radio fetch."""
-        return self.trace.segment_s("batch_wait") if self.trace else 0.0
-
-    @property
-    def service_s(self) -> float:
-        """Modelled device-side service time outside the shared fetch."""
-        if self.trace is not None:
-            return self.trace.segment_s("service")
-        return self.sojourn_s - self.queue_wait_s
-
-    @property
     def energy_j(self) -> float:
         """Total attributed joules (0.0 when no breakdown was recorded)."""
         return self.energy.total_j if self.energy is not None else 0.0
-
-    def energy_breakdown(self) -> Dict[str, float]:
-        """Component -> joules (all zeros when no breakdown was recorded)."""
-        if self.energy is None:
-            return EnergyBreakdown().to_dict()
-        return self.energy.to_dict()
 
     def breakdown(self) -> Dict[str, float]:
         """Phase -> seconds over :data:`SEGMENT_NAMES`.
@@ -149,36 +113,9 @@ class ServeResponse:
         return {name: got.get(name, 0.0) for name in SEGMENT_NAMES}
 
     def hop_breakdown(self) -> Dict[str, Dict[str, float]]:
-        """Per-tier latency seconds and attributed joules.
-
-        Latency partitions the trace segments by the tier that spent
-        them (device: queueing, refresh blocking, and local service;
-        edge: the cloudlet round trip and its community-slice service;
-        origin: the batched radio fetch).  Energy sends the attributed
-        radio joules to the tier the radio reached — the answering
-        ``tier`` for misses, the device itself for hits — and keeps the
-        storage/render/base components on the device.  Both views
-        re-sum to ``sojourn_s`` / ``energy_j`` within 1e-9 (the only
-        differences are float association order).
-        """
-        seg = self.breakdown()
-        latency = {
-            "device": (seg["queue_wait"] + seg["refresh_blocked"])
-            + seg["service"],
-            "edge": seg["edge_hop"] + seg["edge_serve"],
-            "origin": seg["batch_wait"],
-        }
-        energy = {name: 0.0 for name in TIER_NAMES}
-        if self.energy is not None:
-            energy["device"] = (
-                self.energy.storage_j + self.energy.render_j
-            ) + self.energy.base_j
-            radio_tier = self.tier if self.tier in TIER_NAMES else "device"
-            energy[radio_tier] += self.energy.radio_j
-        return {
-            name: {"latency_s": latency[name], "energy_j": energy[name]}
-            for name in TIER_NAMES
-        }
+        """Per-tier latency seconds and attributed joules
+        (:func:`~repro.obs.record.hop_split` of :meth:`breakdown`)."""
+        return hop_split(self.breakdown(), self.energy, self.tier)
 
 
 @dataclass(frozen=True)

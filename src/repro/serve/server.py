@@ -31,6 +31,7 @@ stock loop (real time) or a :class:`~repro.serve.vclock.VirtualTimeLoop`
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Set
@@ -139,6 +140,7 @@ class CloudletServer:
         self.batcher = MissBatcher()
         self.edge = edge
         self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
+        self.telemetry.registry = self.registry
         if edge is not None:
             self.telemetry.edge_stats_fn = edge.stats
             flight = getattr(self.telemetry, "flight", None)
@@ -188,10 +190,22 @@ class CloudletServer:
                 self.backend_factory(device_id),
                 self.config.queue_depth,
             )
-            loop = asyncio.get_running_loop()
-            session.worker = loop.create_task(self._run_session(session))
+            self._start_worker(session)
             self._sessions[device_id] = session
         return session
+
+    def _start_worker(self, session: _DeviceSession) -> None:
+        loop = asyncio.get_running_loop()
+        session.worker = loop.create_task(self._run_session(session))
+        session.worker.add_done_callback(
+            functools.partial(self._worker_done, session)
+        )
+
+    def _worker_done(self, session: _DeviceSession, task) -> None:
+        """A worker ends on close, or after failing the request whose
+        backend raised; in the latter case the device keeps a worker."""
+        if not task.cancelled() and task.exception() is not None and not self._closed:
+            self._start_worker(session)
 
     def submit(self, request: ServeRequest) -> "asyncio.Future":
         """Admit or shed ``request``; resolves to a ``ServeReply``.
@@ -249,14 +263,23 @@ class CloudletServer:
             enqueued_at = trace.marks[0][1]
             started_at = loop.time()
             trace.mark("queue_wait", started_at)
-            async with session.lock:
-                with tracer.span(
-                    "serve_request",
-                    device_id=session.device_id,
-                    key=request.key,
-                    trace_id=trace.trace_id,
-                ):
-                    result = session.backend.serve(request)
+            try:
+                async with session.lock:
+                    with tracer.span(
+                        "serve_request",
+                        device_id=session.device_id,
+                        key=request.key,
+                        trace_id=trace.trace_id,
+                    ):
+                        result = session.backend.serve(request)
+            except Exception as exc:
+                # A raising backend fails its own request, not the
+                # session: settle the request with the error, then end
+                # this worker; _worker_done starts a fresh one.
+                self._inflight -= 1
+                future.set_exception(exc)
+                session.queue.task_done()
+                raise
             # Dequeue-to-here is time spent waiting out a session
             # refresh holding the lock (the backend itself is sync model
             # code: zero loop-clock time under the virtual clock).
@@ -353,27 +376,11 @@ class CloudletServer:
                 tier=tier,
                 edge_node=edge_node,
             )
-            self._record(response)
             self._inflight -= 1
             self.telemetry.on_response(completed_at, response, self._inflight)
             if not future.done():
                 future.set_result(response)
             session.queue.task_done()
-
-    def _record(self, response: ServeResponse) -> None:
-        reg = self.registry
-        reg.counter("serve.completed").inc()
-        if response.outcome.hit:
-            reg.counter("serve.hits").inc()
-        else:
-            reg.counter("serve.misses").inc()
-        if response.shared_fetch:
-            reg.counter("serve.shared_fetches").inc()
-        reg.counter("serve.tier." + response.tier).inc()
-        reg.histogram("serve.queue_wait_s").add(response.queue_wait_s)
-        reg.histogram("serve.sojourn_s").add(response.sojourn_s)
-        if response.energy is not None:
-            reg.histogram("serve.energy_j").add(response.energy_j)
 
     # -- background refresh -------------------------------------------------
 
@@ -398,7 +405,3 @@ class CloudletServer:
     @property
     def inflight(self) -> int:
         return self._inflight
-
-    @property
-    def n_sessions(self) -> int:
-        return len(self._sessions)

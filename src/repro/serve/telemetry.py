@@ -4,7 +4,10 @@ One :class:`ServeTelemetry` instance rides along with each
 :class:`~repro.serve.server.CloudletServer`: the server calls its three
 hooks (submit / shed / response) on the request path, and everything
 else — rolling windows, slow-request exemplars, SLO burn-rate alerts,
-live-view callbacks — derives from those events.
+live-view callbacks — derives from those events.  Each completed
+response becomes one :class:`~repro.obs.record.RequestRecord`, and
+every per-request view (the registry's ``serve.*`` instruments
+included) is a fold over it.
 
 Design constraints, in order:
 
@@ -25,6 +28,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.energy import EnergyWindows
+from repro.obs.record import RequestRecord
+from repro.obs.registry import MetricsRegistry
 from repro.obs.slo import SLOAlert, SLOMonitor, SLOPolicy
 from repro.obs.timeseries import TimeSeriesRegistry
 from repro.obs.trace import get_tracer
@@ -96,6 +101,12 @@ class ServeTelemetry:
         #: attached :class:`~repro.obs.flight.FlightRecorder` (None when
         #: no black-box capture rides along); set by ``attach()``.
         self.flight: Optional[Any] = None
+        #: more folds: ``on_record(record)`` / ``on_shed(t, reply)``
+        #: objects (the flight recorder, a run's report)
+        self.folds: List[Any] = []
+        #: registry of the ``serve.*`` completion instruments (wired by
+        #: the server; None folds nothing)
+        self.registry: Optional[MetricsRegistry] = None
         #: zero-arg edge-tier stats thunk (``EdgeTier.stats``), wired by
         #: the server when a cloudlet tier is configured — feeds the
         #: per-node Prometheus samples and the flight recorder's
@@ -103,10 +114,6 @@ class ServeTelemetry:
         self.edge_stats_fn: Optional[Callable[[], Dict[str, Any]]] = None
         self._last_bucket: Optional[int] = None
         self._t_last = 0.0
-
-    @property
-    def bucket_width_s(self) -> float:
-        return self.windows.width_s
 
     @property
     def window_s(self) -> float:
@@ -129,68 +136,76 @@ class ServeTelemetry:
         self._shed.inc(t)
         if self.slo is not None:
             self.slo.record_request(t, shed=True)
-        if self.flight is not None:
-            self.flight.on_shed(t, reply)
+        for fold in self.folds:
+            fold.on_shed(t, reply)
 
     def on_response(self, t: float, response: ServeResponse, inflight: int) -> None:
+        """Build the response's :class:`~repro.obs.record.RequestRecord`
+        and fold it into every view."""
         self._maybe_tick(t)
+        record = RequestRecord.of(t, response)
+        if self.registry is not None:
+            self._fold_registry(record)
+        segments = record.segments
         self._completed.inc(t)
-        if response.outcome.hit:
+        if record.hit:
             self._hits.inc(t)
-        elif response.shared_fetch:
+        elif record.shared:
             self._piggybacked.inc(t)
-        elif response.batch_wait_s > 0:
+        elif segments["batch_wait"] > 0:
             self._fetches.inc(t)
-        sojourn = response.sojourn_s
+        sojourn = record.sojourn_s
         self._sojourn.observe(t, sojourn)
-        self._queue_wait.observe(t, response.queue_wait_s)
-        self._batch_wait.observe(t, response.batch_wait_s)
-        self._service.observe(t, response.service_s)
+        self._queue_wait.observe(t, segments["queue_wait"])
+        self._batch_wait.observe(t, segments["batch_wait"])
+        self._service.observe(t, segments["service"])
         self._inflight.observe(t, inflight)
-        tier_counter = self._tiers.get(response.tier)
+        tier_counter = self._tiers.get(record.tier)
         if tier_counter is None:
-            tier_counter = self.windows.counter("serve.tier." + response.tier)
-            self._tiers[response.tier] = tier_counter
+            tier_counter = self.windows.counter("serve.tier." + record.tier)
+            self._tiers[record.tier] = tier_counter
         tier_counter.inc(t)
-        if response.trace is not None:
-            edge_s = response.trace.segment_s("edge_hop") + (
-                response.trace.segment_s("edge_serve")
-            )
-            if edge_s > 0:
-                self._edge_hop.observe(t, edge_s)
-        energy_j: Optional[float] = None
+        edge_s = segments["edge_hop"] + segments["edge_serve"]
+        if edge_s > 0:
+            self._edge_hop.observe(t, edge_s)
         burn_per_day: Optional[float] = None
-        if response.energy is not None:
-            energy_j = response.energy.total_j
-            device_id = response.request.device_id
+        if record.energy is not None:
             self.energy.on_request(
                 t,
-                source=response.outcome.source.value,
-                hit=response.outcome.hit,
-                breakdown=response.energy,
-                timeline_j=response.radio_timeline_j,
+                source=record.source,
+                hit=record.hit,
+                breakdown=record.energy,
+                timeline_j=record.timeline_j,
             )
-            self.batteries.drain(device_id, energy_j, t)
-            burn_per_day = self.batteries.burn_per_day(device_id, t)
-        if response.trace is not None:
-            payload = response.trace.to_dict()
-            payload["device_id"] = response.request.device_id
-            payload["key"] = response.request.key
-            payload["hit"] = response.outcome.hit
-            payload["tier"] = response.tier
-            if response.edge_node is not None:
-                payload["edge_node"] = response.edge_node
-            self.exemplars.observe(t, sojourn, payload)
+            self.batteries.drain(record.device_id, record.energy_j, t)
+            burn_per_day = self.batteries.burn_per_day(record.device_id, t)
+        if record.trace is not None:
+            self.exemplars.observe(t, sojourn, record)
         if self.slo is not None:
             self.slo.record_request(
                 t,
                 latency_s=sojourn,
-                hit=response.outcome.hit,
-                energy_j=energy_j,
+                hit=record.hit,
+                energy_j=record.energy_j,
                 battery_burn_per_day=burn_per_day,
             )
-        if self.flight is not None:
-            self.flight.on_response(t, response)
+        for fold in self.folds:
+            fold.on_record(record)
+
+    def _fold_registry(self, record: RequestRecord) -> None:
+        reg = self.registry
+        reg.counter("serve.completed").inc()
+        if record.hit:
+            reg.counter("serve.hits").inc()
+        else:
+            reg.counter("serve.misses").inc()
+        if record.shared:
+            reg.counter("serve.shared_fetches").inc()
+        reg.counter("serve.tier." + record.tier).inc()
+        reg.histogram("serve.queue_wait_s").add(record.segments["queue_wait"])
+        reg.histogram("serve.sojourn_s").add(record.sojourn_s)
+        if record.energy is not None:
+            reg.histogram("serve.energy_j").add(record.energy_j)
 
     # -- bucket ticks --------------------------------------------------------
 

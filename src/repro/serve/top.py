@@ -46,6 +46,14 @@ def _spark(values: List[float]) -> str:
     return "".join(out)
 
 
+def _spark_line(label: str, series: List[Any], peak_pattern: str) -> str:
+    """``label``, the series' sparkline, and its peak (0 when empty)."""
+    values = [None if v is None else float(v) for v in series]
+    numeric = [v for v in values if v is not None and not math.isnan(v)]
+    peak = max(numeric) if numeric else 0.0
+    return f"{label:>10} {_spark(values)}  peak {_fmt(peak, peak_pattern)}"
+
+
 def _fmt(value: Any, pattern: str = "{:.3f}", missing: str = "-") -> str:
     if value is None:
         return missing
@@ -111,15 +119,8 @@ def render_top(snapshot: Dict[str, Any], buckets_shown: int = 60) -> str:
             ("shed", "shed"),
             ("p99 (s)", "sojourn_p99_s"),
         ):
-            series = [row.get(key) for row in rows]
-            numeric = [
-                float(v) for v in series
-                if v is not None and not math.isnan(float(v))
-            ]
-            peak = max(numeric) if numeric else 0.0
             lines.append(
-                f"{label:>10} {_spark([None if v is None else float(v) for v in series])}"
-                f"  peak {_fmt(peak, '{:g}')}"
+                _spark_line(label, [row.get(key) for row in rows], "{:g}")
             )
 
     energy = snapshot.get("energy")
@@ -159,16 +160,7 @@ def render_top(snapshot: Dict[str, Any], buckets_shown: int = 60) -> str:
                 )
                 for name in source_names
             ]:
-                numeric = [
-                    float(v) for v in series
-                    if v is not None and not math.isnan(float(v))
-                ]
-                peak = max(numeric) if numeric else 0.0
-                lines.append(
-                    f"{label:>10} "
-                    f"{_spark([None if v is None else float(v) for v in series])}"
-                    f"  peak {_fmt(peak, '{:.2f}')}"
-                )
+                lines.append(_spark_line(label, series, "{:.2f}"))
             width_s = float(snapshot.get("bucket_width_s") or 1.0)
             from repro.sim.powertrace import render_trace, segments_from_buckets
 

@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs.postmortem import percentile
 from repro.obs.registry import (
     Counter,
     Gauge,
     MetricsRegistry,
     P2Quantile,
     StreamingHistogram,
+    nearest_rank,
 )
+from repro.obs.timeseries import WindowedHistogram
 from repro.sim.metrics import MetricsCollector, QueryOutcome, ServiceSource
 
 
@@ -129,6 +134,49 @@ class TestP2Quantile:
                 est.add(float(x))
             exact = float(np.percentile(data, q * 100))
             assert est.value == pytest.approx(exact, abs=0.05)
+
+
+_values = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestNearestRank:
+    @settings(max_examples=300, deadline=None)
+    @given(values=_values, fraction=st.floats(0.0, 1.0))
+    def test_matches_sorted_index_definition(self, values, fraction):
+        ordered = sorted(values)
+        n = len(ordered)
+        got = nearest_rank(ordered, fraction)
+        # The smallest element with at least ``fraction`` of the list at
+        # or below it.
+        assert got in ordered
+        assert sum(1 for v in ordered if v <= got) >= fraction * n
+        assert sum(1 for v in ordered if v < got) < max(fraction * n, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=_values, q=st.sampled_from([1, 25, 50, 90, 99]))
+    def test_every_exact_percentile_goes_through_it(self, values, q):
+        expected = nearest_rank(sorted(values), q / 100)
+        hist = StreamingHistogram(reservoir_size=len(values))
+        window = WindowedHistogram(width_s=1.0, n_buckets=1)
+        collector = MetricsCollector()
+        for v in values:
+            hist.add(v)
+            window.observe(0.5, v)
+            collector.record(_outcome(v))
+        assert hist.quantile(q) == expected
+        assert window.quantile(0.5, q) == expected
+        assert collector.latency_percentile(q) == expected
+        assert percentile(values, q) == expected
+
+    def test_p2_small_stream_uses_it(self):
+        est = P2Quantile(0.9)
+        for x in (4.0, 1.0, 3.0):
+            est.add(x)
+        assert est.value == nearest_rank([1.0, 3.0, 4.0], 0.9)
 
 
 def _outcome(latency):

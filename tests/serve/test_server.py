@@ -220,6 +220,40 @@ class TestServing:
 
         run_simulated(scenario())
 
+    def test_raising_backend_fails_only_its_request(self):
+        class FlakyBackend(StubBackend):
+            def serve(self, request):
+                if request.key == "boom":
+                    raise RuntimeError("backend fault")
+                return super().serve(request)
+
+        async def scenario():
+            server = CloudletServer(
+                lambda uid: FlakyBackend(cached={"q"}),
+                registry=MetricsRegistry(),
+            )
+            boom = server.submit(_request(key="boom"))
+            after = server.submit(_request(key="q"))
+            await asyncio.sleep(5.0)
+            state = (
+                boom.done(),
+                after.done(),
+                server.inflight,
+                server.ensure_session(1).worker.done(),
+            )
+            later = server.submit(_request(key="q"))
+            await server.drain()
+            await server.close()
+            return state, boom, after, later
+
+        state, boom, after, later = run_simulated(scenario())
+        # Both futures resolved, nothing is left in flight, and the
+        # device's worker is still serving.
+        assert state == (True, True, 0, False)
+        assert isinstance(boom.exception(), RuntimeError)
+        assert isinstance(after.result(), ServeResponse)
+        assert isinstance(later.result(), ServeResponse)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ServeConfig(queue_depth=0)

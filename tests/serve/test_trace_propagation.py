@@ -143,9 +143,9 @@ class TestSegmentBreakdown:
             if isinstance(r, ServeResponse):
                 by_key.setdefault(r.request.key, []).append(r)
         for hit in by_key["hit"]:
-            assert hit.batch_wait_s == 0.0
+            assert hit.breakdown()["batch_wait"] == 0.0
         for miss in by_key["miss-a"]:
-            assert miss.batch_wait_s > 0.0
+            assert miss.breakdown()["batch_wait"] > 0.0
 
     def test_backend_annotations_land_in_trace(self):
         async def scenario():
