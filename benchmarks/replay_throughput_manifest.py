@@ -34,6 +34,7 @@ from repro.pocketsearch.content import build_cache_content
 from repro.sim.replay import (
     CacheMode,
     ReplayConfig,
+    community_image,
     replay_one_user,
     select_replay_users,
 )
@@ -46,10 +47,11 @@ def _timed_replay(log, content, config, selected, t_start, t_end):
     if config.engine == "vectorized":
         clear_caches()  # cold: charge batch+universe construction to the run
     t0 = time.perf_counter()
+    image = community_image(content, CacheMode.FULL, config)
     users = [
         replay_one_user(
             log, content, [], config, CacheMode.FULL,
-            user_class, user_id, t_start, t_end,
+            user_class, user_id, t_start, t_end, image,
         )
         for user_class, user_ids in selected.items()
         for user_id in user_ids

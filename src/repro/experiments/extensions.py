@@ -88,9 +88,10 @@ def ads_coupling(seed: int = 23, users: int = 40) -> Dict[str, float]:
     content = default_content(seed=seed)
     selected = select_replay_users(log, month=1, users_per_class=users // 4 or 1)
     served = suppressed = queries = ad_hits = 0
+    image = make_cache(content, CacheMode.FULL)
     for uids in selected.values():
         for uid in uids:
-            cache = make_cache(content, CacheMode.FULL)
+            cache = image.clone()
             ads = AdsCloudlet(cache, budget_bytes=8 * MB)
             ads.load_from_content(content)
             stream = log.for_user(uid).month(1)
@@ -205,9 +206,10 @@ def suggest_effort(seed: int = 23, users: int = 20) -> Dict[str, float]:
     lookups = 0
     from repro.pocketsearch.engine import PocketSearchEngine
 
+    image = make_cache(content, CacheMode.FULL)
     for uids in selected.values():
         for uid in uids:
-            cache = make_cache(content, CacheMode.FULL)
+            cache = image.clone()
             engine = PocketSearchEngine(cache)
             stream = log.for_user(uid).month(1)
             for i in range(stream.n_events):
@@ -350,9 +352,10 @@ def server_load_relief(seed: int = 23) -> Dict[str, float]:
     users = np.unique(month.user_ids)
     rng = np.random.default_rng(seed)
     sampled = rng.choice(users, size=min(400, len(users)), replace=False)
+    image = make_cache(content, CacheMode.FULL)
     for uid in sampled:
         stream = month.for_user(int(uid))
-        cache = make_cache(content, CacheMode.FULL)
+        cache = image.clone()
         for i in range(stream.n_events):
             t = float(stream.timestamps[i]) - MONTH_SECONDS
             hour = int(t // 3600) % 24

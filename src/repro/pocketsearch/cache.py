@@ -14,6 +14,7 @@ Figure 17.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -39,6 +40,15 @@ class VersionedRegistry(dict):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.version = 0
+
+    def __reduce__(self):
+        # The default dict reduction replays items through __setitem__
+        # before the slot state exists; rebuild from a plain dict instead.
+        return (_restore_registry, (dict(self), self.version))
+
+    def copy(self) -> "VersionedRegistry":
+        """A shallow copy that keeps the type and the version."""
+        return _restore_registry(self, self.version)
 
     def __setitem__(self, key, value) -> None:
         super().__setitem__(key, value)
@@ -67,6 +77,12 @@ class VersionedRegistry(dict):
     def setdefault(self, key, default=None):
         self.version += 1
         return super().setdefault(key, default)
+
+
+def _restore_registry(items: dict, version: int) -> VersionedRegistry:
+    registry = VersionedRegistry(items)
+    registry.version = version
+    return registry
 
 
 @dataclass(frozen=True)
@@ -133,6 +149,23 @@ class PocketSearchCache:
                 entry.query, stored.result_hash, entry.score, accessed=False
             )
             self.query_registry[hash64(entry.query)] = entry.query
+
+    def clone(self) -> "PocketSearchCache":
+        """An independent cache that shares everything immutable with this one.
+
+        Shared: the stored-result values, URL and query strings, the
+        ranker and the flash geometry.  Copied: the database file sizes
+        and entry counts, the filesystem file entries, the flash counters
+        and the query registry.  The hash table is copy-on-write per
+        entry (:meth:`QueryHashTable.clone`).  Writes to either cache,
+        later, never show in the other; so a community image built once
+        can seed every device.
+        """
+        twin = copy.copy(self)
+        twin.hashtable = self.hashtable.clone()
+        twin.database = self.database.clone()
+        twin.query_registry = self.query_registry.copy()
+        return twin
 
     # -- service path ------------------------------------------------------------
 

@@ -14,6 +14,7 @@ page read, all modelled through the flash filesystem substrate.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -93,6 +94,19 @@ class ResultDatabase:
 
     def _file_name(self, i: int) -> str:
         return f"{self.name_prefix}.{i:04d}"
+
+    def clone(self) -> "ResultDatabase":
+        """An independent copy on a cloned filesystem.
+
+        The frozen :class:`StoredResult` values are shared; the index,
+        file sizes and entry counts are copied.
+        """
+        twin = copy.copy(self)
+        twin.filesystem = self.filesystem.clone()
+        twin._index = dict(self._index)
+        twin._file_sizes = list(self._file_sizes)
+        twin._file_entries = list(self._file_entries)
+        return twin
 
     # -- write path ----------------------------------------------------------
 

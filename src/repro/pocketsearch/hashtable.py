@@ -17,6 +17,7 @@ result.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -54,11 +55,17 @@ class _Slot:
 
 @dataclass
 class HashEntry:
-    """One hash-table entry: up to ``capacity`` result slots."""
+    """One hash-table entry: up to ``capacity`` result slots.
+
+    ``owner`` is the token of the one table allowed to write the entry in
+    place (see :meth:`QueryHashTable.clone`); any other table copies it
+    first.
+    """
 
     query_hash: int
     capacity: int
     slots: List[_Slot] = field(default_factory=list)
+    owner: object = field(default=None, compare=False, repr=False)
 
     @property
     def is_full(self) -> bool:
@@ -106,7 +113,40 @@ class QueryHashTable:
         self.lookup_latency_s = lookup_latency_s
         # Keyed by (query_hash, chain index).
         self._entries: Dict[Tuple[int, int], HashEntry] = {}
+        #: Write token: entries carrying it belong to this table alone.
+        self._owner = object()
         self.total_lookups = 0
+
+    # -- copy-on-write ----------------------------------------------------------
+
+    def clone(self) -> "QueryHashTable":
+        """An independent table that shares every entry with this one.
+
+        Both tables get fresh write tokens, so every entry is then shared
+        on both sides: whichever table first writes an entry copies it
+        (:meth:`_own`), and the other keeps seeing the original.
+        """
+        twin = copy.copy(self)
+        twin._entries = dict(self._entries)
+        twin._owner = object()
+        self._owner = object()
+        return twin
+
+    def _own(self, key: Tuple[int, int]) -> HashEntry:
+        """The entry at ``key``, copied first unless this table owns it.
+
+        Every write to an existing entry's slots goes through here.
+        """
+        entry = self._entries[key]
+        if entry.owner is not self._owner:
+            entry = HashEntry(
+                query_hash=entry.query_hash,
+                capacity=entry.capacity,
+                slots=[_Slot(s.result_hash, s.score, s.accessed) for s in entry.slots],
+                owner=self._owner,
+            )
+            self._entries[key] = entry
+        return entry
 
     # -- write path ---------------------------------------------------------
 
@@ -126,17 +166,21 @@ class QueryHashTable:
             key = (hash64(query, chain), chain)
             entry = self._entries.get(key)
             if entry is None:
-                entry = HashEntry(
-                    query_hash=key[0], capacity=self.results_per_entry
+                self._entries[key] = HashEntry(
+                    query_hash=key[0],
+                    capacity=self.results_per_entry,
+                    slots=[_Slot(result_hash, score, accessed)],
+                    owner=self._owner,
                 )
-                self._entries[key] = entry
-            for slot in entry.slots:
+                return
+            for i, slot in enumerate(entry.slots):
                 if slot.result_hash == result_hash:
+                    slot = self._own(key).slots[i]
                     slot.score = max(slot.score, score)
                     slot.accessed = slot.accessed or accessed
                     return
             if not entry.is_full:
-                entry.slots.append(_Slot(result_hash, score, accessed))
+                self._own(key).slots.append(_Slot(result_hash, score, accessed))
                 return
             chain += 1
 
@@ -161,7 +205,7 @@ class QueryHashTable:
         lookups never see a gap.
         """
         chain = 0
-        found = False
+        shared = False
         all_slots: List[_Slot] = []
         keys = []
         while True:
@@ -171,13 +215,19 @@ class QueryHashTable:
                 break
             keys.append(key)
             all_slots.extend(entry.slots)
+            shared = shared or entry.owner is not self._owner
             chain += 1
-        if not keys:
-            return False
         kept = [s for s in all_slots if s.result_hash != result_hash]
-        found = len(kept) != len(all_slots)
-        if not found:
+        if len(kept) == len(all_slots):
             return False
+        if shared:
+            # The kept slots move into new entries: take owned copies.
+            kept = [
+                s
+                for key in keys
+                for s in self._own(key).slots
+                if s.result_hash != result_hash
+            ]
         self._rewrite_chain(keys, kept)
         return True
 
@@ -193,6 +243,7 @@ class QueryHashTable:
                 query_hash=key[0],
                 capacity=self.results_per_entry,
                 slots=slots[i : i + self.results_per_entry],
+                owner=self._owner,
             )
 
     # -- read path --------------------------------------------------------------
@@ -236,15 +287,16 @@ class QueryHashTable:
         return out
 
     def _find_slot(self, query: str, result_hash: int) -> Optional[_Slot]:
+        """The pair's slot, in an owned entry, for the caller to write."""
         chain = 0
         while True:
             key = (hash64(query, chain), chain)
             entry = self._entries.get(key)
             if entry is None:
                 return None
-            for slot in entry.slots:
+            for i, slot in enumerate(entry.slots):
                 if slot.result_hash == result_hash:
-                    return slot
+                    return self._own(key).slots[i]
             chain += 1
 
     # -- footprint ----------------------------------------------------------------
@@ -263,6 +315,11 @@ class QueryHashTable:
         return self.n_entries * entry_bytes(self.results_per_entry)
 
     def entries(self) -> Iterator[HashEntry]:
+        """The live entries, in table order.
+
+        Read-only: an entry may be shared with clones of this table
+        (:meth:`clone`), so callers must not mutate it or its slots.
+        """
         return iter(self._entries.values())
 
     # -- wire format ------------------------------------------------------------
@@ -306,7 +363,9 @@ class QueryHashTable:
                 raise ValueError("truncated hash-table blob (entry head)")
             query_hash, chain, n_slots = cls._ENTRY_HEAD.unpack_from(data, offset)
             offset += cls._ENTRY_HEAD.size
-            entry = HashEntry(query_hash=query_hash, capacity=width)
+            entry = HashEntry(
+                query_hash=query_hash, capacity=width, owner=table._owner
+            )
             for _ in range(n_slots):
                 if offset + cls._SLOT.size > len(data):
                     raise ValueError("truncated hash-table blob (slot)")

@@ -468,9 +468,11 @@ async def _serve_mode(
     edge_topology: Optional[EdgeTopology] = None,
 ) -> Tuple[List[UserReplayResult], ServeReport]:
     updates_on = config.daily_updates and mode != CacheMode.PERSONALIZATION_ONLY
+    # One community image per mode; every device serves from a clone.
+    image = make_cache(content, mode)
 
     def backend_factory(device_id: int):
-        engine = PocketSearchEngine(make_cache(content, mode))
+        engine = PocketSearchEngine(image.clone())
         backend = SearchBackend(engine)
         if updates_on:
             # Event-synced nightly refresh: replay-equivalent ordering
@@ -559,9 +561,10 @@ def run_loadtest(
 ) -> Tuple[ServeReport, Workload]:
     """Load-test the server on the virtual clock.
 
-    Devices serve from fresh full-mode caches whose community content is
-    mined from ``build_month``; the workload replays ``workload_month``
-    traffic at ``loadgen.rate_multiplier`` times its natural rate.
+    Devices serve from clones of one full-mode cache image whose
+    community content is mined from ``build_month``; the workload
+    replays ``workload_month`` traffic at ``loadgen.rate_multiplier``
+    times its natural rate.
 
     Args:
         refresh_interval_s: if set, runs the background cache refresh
@@ -589,8 +592,11 @@ def run_loadtest(
             kwargs["battery_capacity_j"] = battery_capacity_j
         telemetry = ServeTelemetry(**kwargs)
 
+    # One community image per run; every device serves from a clone.
+    image = make_cache(content, CacheMode.FULL)
+
     def backend_factory(device_id: int) -> SearchBackend:
-        return SearchBackend(PocketSearchEngine(make_cache(content, CacheMode.FULL)))
+        return SearchBackend(PocketSearchEngine(image.clone()))
 
     refresh_fn = None
     if refresh_interval_s is not None:

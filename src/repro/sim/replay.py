@@ -236,7 +236,7 @@ def make_cache(
     mode: str,
     results_per_entry: int = 2,
 ) -> PocketSearchCache:
-    """A fresh per-user cache in the given mode."""
+    """A fresh cache in the given mode (a run's community image)."""
     from repro.pocketsearch.hashtable import QueryHashTable
 
     database = ResultDatabase(FlashFilesystem(NandFlash()))
@@ -248,6 +248,21 @@ def make_cache(
     if mode != CacheMode.PERSONALIZATION_ONLY and content is not None:
         cache.load_community(content)
     return cache
+
+
+def community_image(
+    content: Optional[CacheContent], mode: str, config: ReplayConfig
+) -> Optional[PocketSearchCache]:
+    """The mode's community cache image, built once per run or worker.
+
+    Every user the scalar engine replays starts from a clone of it
+    (:meth:`PocketSearchCache.clone`); the image itself is never
+    replayed on.  ``None`` for the vectorized engine, which builds no
+    :class:`PocketSearchCache`.
+    """
+    if config.engine == "vectorized":
+        return None
+    return make_cache(content, mode)
 
 
 def replay_user(
@@ -345,10 +360,11 @@ def run_replay(
                 )
                 mode_span.set_attrs(**stats)
             else:
+                image = community_image(content, mode, config)
                 users = [
                     replay_one_user(
                         log, content, daily_contents, config, mode,
-                        user_class, uid, t_start, t_end,
+                        user_class, uid, t_start, t_end, image,
                     )
                     for user_class, uid in work
                 ]
@@ -371,12 +387,16 @@ def replay_one_user(
     user_id: int,
     t_start: float,
     t_end: float,
+    image: Optional[PocketSearchCache],
 ) -> UserReplayResult:
     """Replay a single user on a fresh phone (shared by serial/sharded paths).
 
-    Everything a user's outcome depends on — the cache content, the log
-    window, and the per-user seed — is passed in explicitly, so the
-    result is identical whether this runs inline or in a worker process.
+    Everything a user's outcome depends on — the cache content (and the
+    mode's :func:`community_image` built from it), the log window, and
+    the per-user seed — is passed in explicitly, so the result is
+    identical whether this runs inline or in a worker process.  The
+    scalar engine replays on a clone of ``image``; the vectorized
+    engine reads ``content`` and takes ``image=None``.
     """
     if config.engine == "vectorized":
         from repro.sim.vectorized import replay_one_user_vectorized
@@ -385,8 +405,7 @@ def replay_one_user(
             log, content, daily_contents, config, mode,
             user_class, user_id, t_start, t_end,
         )
-    cache = make_cache(content, mode)
-    engine = PocketSearchEngine(cache)
+    engine = PocketSearchEngine(image.clone())
     metrics = _new_collector(config, user_id)
     if config.daily_updates and mode != CacheMode.PERSONALIZATION_ONLY:
         _replay_user_with_updates(

@@ -12,7 +12,9 @@ of one cache mode into contiguous shards and replays them on a
   matter how the OS schedules workers.
 * **One payload per worker, not per shard.**  The log, cache content,
   and pre-mined daily contents are pickled once into each worker via the
-  pool initializer; shard tasks carry only index lists.
+  pool initializer; shard tasks carry only index lists.  Each worker
+  builds the mode's community image from its own copy of the content
+  once, and replays every user on a clone of it.
 * **Observability.**  Each shard reports its wall time; the parent
   emits a ``replay_shard`` trace event per shard and a ``merge_shards``
   span, and returns summary stats for the mode span / run manifests.
@@ -29,7 +31,12 @@ from repro.logs.generator import SearchLog
 from repro.logs.schema import UserClass
 from repro.obs.trace import get_tracer
 from repro.pocketsearch.content import CacheContent
-from repro.sim.replay import ReplayConfig, UserReplayResult, replay_one_user
+from repro.sim.replay import (
+    ReplayConfig,
+    UserReplayResult,
+    community_image,
+    replay_one_user,
+)
 
 #: Auto-sized shards per worker: small enough to balance load across the
 #: pool, large enough to amortize per-task dispatch.
@@ -82,6 +89,7 @@ def _init_worker(
         config=config,
         t_start=t_start,
         t_end=t_end,
+        images={},
     )
 
 
@@ -92,6 +100,9 @@ def _run_shard(
     shard_index, mode, pairs = task
     state = _WORKER_STATE
     t0 = time.perf_counter()
+    images = state["images"]
+    if mode not in images:
+        images[mode] = community_image(state["content"], mode, state["config"])
     users = [
         replay_one_user(
             state["log"],
@@ -103,6 +114,7 @@ def _run_shard(
             uid,
             state["t_start"],
             state["t_end"],
+            images[mode],
         )
         for user_class, uid in pairs
     ]

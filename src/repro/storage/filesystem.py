@@ -18,6 +18,7 @@ own logical content in memory structures.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -66,6 +67,16 @@ class FlashFilesystem:
         self.open_energy_j = open_energy_j
         self._files: Dict[str, _FileEntry] = {}
         self._pages_used = 0
+
+    def clone(self) -> "FlashFilesystem":
+        """An independent copy: file entries and flash counters copied."""
+        twin = copy.copy(self)
+        twin.flash = self.flash.clone()
+        twin._files = {
+            name: _FileEntry(name, entry.size_bytes, entry.pages_allocated)
+            for name, entry in self._files.items()
+        }
+        return twin
 
     # -- namespace ---------------------------------------------------------
 

@@ -14,7 +14,8 @@ paper's experiments depend on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, replace
 
 from repro.obs.trace import get_tracer
 from repro.storage.device import AccessResult, MemoryDevice
@@ -112,6 +113,12 @@ class NandFlash(MemoryDevice):
         self.program_page_energy_j = program_page_energy_j
         self.erase_block_energy_j = erase_block_energy_j
         self.stats = FlashStats()
+
+    def clone(self) -> "NandFlash":
+        """An independent copy: counters and stats copied, geometry shared."""
+        twin = copy.copy(self)
+        twin.stats = replace(self.stats)
+        return twin
 
     def read_pages(self, npages: int) -> AccessResult:
         """Read ``npages`` whole pages (command + transfer cost)."""
