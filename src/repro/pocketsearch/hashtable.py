@@ -18,6 +18,7 @@ result.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -35,12 +36,17 @@ ENTRY_OVERHEAD_BYTES = 24
 DEFAULT_RESULTS_PER_ENTRY = 2
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def hash64(text: str, salt: int = 0) -> int:
     """Deterministic 64-bit hash of a string (stable across runs).
 
     Python's built-in ``hash`` is randomized per process, so the table
     uses the first 8 bytes of MD5 instead — the paper's two-argument hash
     function is modelled by mixing ``salt`` into the digest input.
+
+    Memoised with a bound: a serving cache hashes the same few thousand
+    query strings and URLs over and over (every lookup, insert and
+    refresh walks a query's chain by hash).
     """
     digest = hashlib.md5(f"{salt}\x00{text}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
@@ -328,6 +334,14 @@ class QueryHashTable:
     _ENTRY_HEAD = struct.Struct("<QHB")  # query hash, chain idx, slot count
     _SLOT = struct.Struct("<QfB")  # result hash, score, accessed
     _MAGIC = b"PSHT"
+
+    def serialized_len(self) -> int:
+        """``len(self.serialize())``, without building the blob."""
+        return (
+            self._HEADER.size
+            + self._ENTRY_HEAD.size * self.n_entries
+            + self._SLOT.size * self.n_pairs
+        )
 
     def serialize(self) -> bytes:
         """Encode the table as the update protocol's wire format.

@@ -90,7 +90,7 @@ class CacheUpdateServer:
         once and apply it to many users' caches.
         """
         table = cache.hashtable
-        bytes_uploaded = len(table.serialize())
+        bytes_uploaded = table.serialized_len()
 
         # Step 2: prune. Collect pairs to drop without mutating mid-walk.
         to_remove: List[Tuple[str, int]] = []
@@ -152,7 +152,7 @@ class CacheUpdateServer:
         ):
             compacted = cache.database.compact()
 
-        bytes_downloaded = len(table.serialize()) + sum(patch_files.values())
+        bytes_downloaded = table.serialized_len() + sum(patch_files.values())
         return UpdatePatch(
             bytes_uploaded=bytes_uploaded,
             bytes_downloaded=bytes_downloaded,

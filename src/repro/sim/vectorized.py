@@ -23,17 +23,21 @@ Bit-identity, not approximation:
 * outcomes are fed to the same :class:`MetricsCollector` in stream
   order, so bounded-mode reservoirs draw the identical RNG sequence.
 
-Events that mutate cross-batch state — the nightly community refresh of
-Section 6.2.2 — fall back to an exact scalar mirror of
-:meth:`CacheUpdateServer.refresh_with_content` applied between
-day-segments of the batch, including :class:`UpdatePatch` accounting and
-database compaction costs.
+The nightly community refresh of Section 6.2.2 runs between
+day-segments of the batch and reproduces
+:meth:`CacheUpdateServer.refresh_with_content` field for field,
+including :class:`UpdatePatch` accounting and database compaction costs.
+It does not rebuild the table: each day's refreshed community table is
+built once per content (:class:`_DayImage`) and shared by every user,
+whose cache is a copy-on-write overlay of the pairs they wrote on top of
+it.  A refresh walks only those owned pairs; its counts follow from the
+image's.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -257,14 +261,73 @@ def _canonical_ids(strings: List[str]):
     return mapping, canonical
 
 
+class _DayImage:
+    """One content's community table as every refreshed cache holds it.
+
+    The update protocol (Section 5.4) drops every pair a user never
+    accessed and merges in the day's popular set, so a refreshed table
+    is the content's table plus the user's few retained pairs.  The
+    image is that shared part, built once per content and never
+    mutated:
+
+    * ``slots``: per-query slot tuples ``(rid, score, False)`` in first
+      occurrence order, with the maximum score of repeated pairs;
+    * ``n_entries`` / ``n_pairs``: its hash-table entry and pair counts;
+    * ``results``: each referenced result's first record size, in
+      content order;
+    * ``n_content`` / ``repeats``: the number of content entries, and
+      the entries beyond the first of each ``(qid, rid)`` pair that
+      repeats (a pair's entry count is ``1 + repeats.get(pair, 0)``).
+
+    A query whose slots equal those in ``previous`` (the image built
+    before this one) shares its tuple: consecutive days mine overlapping
+    trailing windows, so about half the queries carry over unchanged.
+    """
+
+    __slots__ = (
+        "slots", "n_entries", "n_pairs", "results", "n_content", "repeats",
+    )
+
+    def __init__(
+        self,
+        entries: List[Tuple],
+        width: int,
+        previous: Optional["_DayImage"] = None,
+    ) -> None:
+        merged: Dict[int, Dict[int, float]] = {}
+        self.results: Dict[int, int] = {}
+        self.repeats: Dict[Tuple[int, int], int] = {}
+        for qid, rid, score, record_bytes in entries:
+            scores = merged.setdefault(qid, {})
+            old = scores.get(rid)
+            if old is None:
+                scores[rid] = score
+            else:
+                scores[rid] = max(old, score)
+                self.repeats[qid, rid] = self.repeats.get((qid, rid), 0) + 1
+            self.results.setdefault(rid, record_bytes)
+        shared = previous.slots if previous is not None else {}
+        self.slots: Dict[int, Tuple[Tuple, ...]] = {}
+        for qid, scores in merged.items():
+            slots = tuple((rid, score, False) for rid, score in scores.items())
+            same = shared.get(qid)
+            self.slots[qid] = same if same == slots else slots
+        self.n_pairs = sum(map(len, self.slots.values()))
+        self.n_entries = sum(
+            (len(s) + width - 1) // width for s in self.slots.values()
+        )
+        self.n_content = len(entries)
+
+
 class ReplayUniverse:
     """Per-(log, content, mode) immutable mirror of the initial cache.
 
     Maps the log's string universe into canonical integer ids (two query
     keys with the same string collapse to one id, exactly as their MD5
     hashes collide in the real hash table) and mirrors the community
-    bulk-load: initial hash-table slots, result-database layout, and
-    query registry.  Shared read-only across all users of a shard.
+    bulk-load: the initial hash table (``image0``, a :class:`_DayImage`)
+    and result-database layout.  Shared read-only across all users of a
+    shard, together with one day image per refresh content.
     """
 
     def __init__(
@@ -290,31 +353,24 @@ class ReplayUniverse:
         # measurable at paper scale.
         self._personal_mapped = False
         self._rb_of_rkey: Dict[int, int] = {}
-
-        # Mirror of the community bulk-load (make_cache + load_community).
-        self.slots0: Dict[int, List[List]] = {}
-        self.db0: Dict[int, Tuple[int, int, int]] = {}
-        self.file_sizes0 = [0] * self.costs.n_files
-        self.file_entries0 = [0] * self.costs.n_files
-        self.registry0: Dict[int, bool] = {}
         self._file_of: Dict[int, int] = {}
         self._qstr: Dict[int, str] = {}
         self._static_cost: Dict[int, Tuple[float, float]] = {}
-        self._mapped: Dict[int, Tuple[CacheContent, List[Tuple]]] = {}
+        self._images: Dict[int, Tuple[CacheContent, _DayImage]] = {}
+        self._last_image: Optional[_DayImage] = None
         from repro.sim.replay import CacheMode
 
+        # Mirror of the community bulk-load (make_cache + load_community).
         if mode == CacheMode.PERSONALIZATION_ONLY:
             content = None  # scalar make_cache never loads community here
-        if content is not None:
-            for qid, rid, score, record_bytes in self.map_content(content):
-                self._load_pair(qid, rid, score, record_bytes)
-
-    # -- construction helpers ------------------------------------------------
-
-    def _load_pair(
-        self, qid: int, rid: int, score: float, record_bytes: int
-    ) -> None:
-        if rid not in self.db0:
+        if content is None:
+            self.image0 = _DayImage([], self.costs.results_per_entry)
+        else:
+            self.image0 = self.day_image(content)
+        self.db0: Dict[int, Tuple[int, int, int]] = {}
+        self.file_sizes0 = [0] * self.costs.n_files
+        self.file_entries0 = [0] * self.costs.n_files
+        for rid, record_bytes in self.image0.results.items():
             file_index = self.file_of(rid)
             self.db0[rid] = (
                 file_index, self.file_sizes0[file_index], record_bytes
@@ -323,18 +379,29 @@ class ReplayUniverse:
                 record_bytes + self.costs.header_entry_bytes
             )
             self.file_entries0[file_index] += 1
-        _insert_slot(self.slots0.setdefault(qid, []), rid, score, False)
-        self.registry0[qid] = True
 
-    def map_content(self, content: CacheContent) -> List[Tuple]:
-        """Content entries as (qid, rid, score, record_bytes) tuples.
+    # -- construction helpers ------------------------------------------------
+
+    def day_image(self, content: CacheContent) -> _DayImage:
+        """The :class:`_DayImage` of ``content``, built once per object.
 
         Cached per content object (daily-update experiments reuse each
         day's mined content across every user).
         """
-        cached = self._mapped.get(id(content))
+        cached = self._images.get(id(content))
         if cached is not None and cached[0] is content:
             return cached[1]
+        image = _DayImage(
+            self.map_content(content),
+            self.costs.results_per_entry,
+            self._last_image,
+        )
+        self._images[id(content)] = (content, image)
+        self._last_image = image
+        return image
+
+    def map_content(self, content: CacheContent) -> List[Tuple]:
+        """Content entries as (qid, rid, score, record_bytes) tuples."""
         entries = []
         for entry in content.entries:
             qid = self._qid_of_str.get(entry.query)
@@ -350,7 +417,6 @@ class ReplayUniverse:
                     "from the replayed log"
                 )
             entries.append((qid, rid, entry.score, entry.record_bytes))
-        self._mapped[id(content)] = (content, entries)
         return entries
 
     def _ensure_personal_maps(self) -> None:
@@ -421,68 +487,52 @@ class ReplayUniverse:
         return cached
 
 
-def _insert_slot(
-    slots: List[List], rid: int, score: float, accessed: bool
-) -> None:
-    """Mirror of :meth:`QueryHashTable.insert` on a flat slot list."""
-    for slot in slots:
-        if slot[0] == rid:
-            slot[1] = max(slot[1], score)
-            slot[2] = slot[2] or accessed
-            return
-    slots.append([rid, score, accessed])
-
-
 class _UserCacheState:
-    """Mutable per-user cache mirror: slots, registry, result database.
+    """Mutable per-user cache mirror: hash table and result database.
 
-    Two construction modes: a *full* deep copy (daily updates mutate
-    global state) or a copy-on-write overlay over the shared
-    :class:`ReplayUniverse` (the common no-update path, where only
-    queries the user actually touches are ever copied).
+    The hash table is a copy-on-write overlay: ``slots`` holds the
+    queries this user has written (clicked, or kept through a refresh)
+    over the shared, immutable ``image``; only touched queries are ever
+    copied.  The registry of cached query strings is not kept: every
+    cached query has at least one pair, so it is the overlay's key set.
+    In daily mode the state owns its result database (refreshes add and
+    collect results); otherwise it is an overlay over the universe's.
     """
 
     __slots__ = (
-        "universe", "full", "slots", "base_slots", "db", "base_db",
-        "file_sizes", "file_entries", "garbage", "registry",
+        "universe", "daily", "slots", "image", "db", "base_db",
+        "file_sizes", "file_entries", "garbage",
     )
 
-    def __init__(self, universe: ReplayUniverse, full: bool) -> None:
+    def __init__(self, universe: ReplayUniverse, daily: bool) -> None:
         self.universe = universe
-        self.full = full
-        if full:
-            self.slots = {
-                qid: [list(slot) for slot in slots]
-                for qid, slots in universe.slots0.items()
-            }
-            self.base_slots: Dict[int, List[List]] = {}
+        self.daily = daily
+        self.slots: Dict[int, List[List]] = {}
+        self.image = universe.image0
+        if daily:
             self.db = dict(universe.db0)
             self.base_db: Dict[int, Tuple[int, int, int]] = {}
-            self.registry = dict(universe.registry0)
         else:
-            self.slots = {}
-            self.base_slots = universe.slots0
             self.db = {}
             self.base_db = universe.db0
-            self.registry = {}
         self.file_sizes = list(universe.file_sizes0)
         self.file_entries = list(universe.file_entries0)
         self.garbage = 0
 
     def has_query(self, qid: int) -> bool:
-        return qid in self.slots or qid in self.base_slots
+        return qid in self.slots or qid in self.image.slots
 
-    def slots_of(self, qid: int) -> Optional[List[List]]:
+    def slots_of(self, qid: int) -> Optional[Sequence]:
         found = self.slots.get(qid)
         if found is not None:
             return found
-        return self.base_slots.get(qid)
+        return self.image.slots.get(qid)
 
     def mutable_slots(self, qid: int) -> List[List]:
         found = self.slots.get(qid)
         if found is None:
-            base = self.base_slots.get(qid)
-            found = [list(slot) for slot in base] if base else []
+            base = self.image.slots.get(qid, ())
+            found = [list(slot) for slot in base]
             self.slots[qid] = found
         return found
 
@@ -541,7 +591,7 @@ def _serve_segment(
     if not personalized:
         latency = np.full(n, costs.miss_latency_s)
         energy = np.full(n, costs.miss_energy_j)
-        static = state.universe._static_cost if not state.full else None
+        static = None if state.daily else state.universe._static_cost
         for g, u in enumerate(unique_q.tolist()):
             if not present0[g]:
                 continue
@@ -634,8 +684,6 @@ def _serve_segment(
                 clicked_slot[2] = True
             else:
                 slots.append([clicked, 1.0, True])
-    for i in sorted(int(j) for j in first_q_idx.tolist()):
-        state.registry[int(qid[i])] = True
 
     # Vectorized fetch costing over the hit rows.
     latency = np.full(n, costs.miss_latency_s)
@@ -697,61 +745,84 @@ def _static_hit_cost(
     return latency, energy
 
 
-# -- daily-update fallback seam ---------------------------------------------
+# -- daily refresh --------------------------------------------------------
 
 
-def _serialized_table_len(state: _UserCacheState, costs) -> int:
-    """Wire-format length of the mirrored hash table (Section 5.4)."""
-    width = costs.results_per_entry
-    n_slots = 0
-    n_entries = 0
-    for slots in state.slots.values():
-        n_slots += len(slots)
-        n_entries += -(-len(slots) // width)
+def _table_size(state: _UserCacheState) -> Tuple[int, int]:
+    """(entries, pairs) of the user's hash table: the image's counts
+    with the owned queries laid over it."""
+    width = state.universe.costs.results_per_entry
+    base = state.image.slots
+    n_entries = state.image.n_entries
+    n_pairs = state.image.n_pairs
+    for qid, slots in state.slots.items():
+        shadowed = len(base.get(qid, ()))
+        n_entries += (len(slots) + width - 1) // width
+        n_entries -= (shadowed + width - 1) // width
+        n_pairs += len(slots) - shadowed
+    return n_entries, n_pairs
+
+
+def _wire_len(costs: EngineCostModel, n_entries: int, n_pairs: int) -> int:
+    """Wire-format length of a hash table (Section 5.4)."""
     return (
         costs.header_len
         + costs.entry_head_len * n_entries
-        + costs.slot_len * n_slots
+        + costs.slot_len * n_pairs
     )
 
 
-def _refresh_state(
-    state: _UserCacheState, entries: List[Tuple]
-) -> UpdatePatch:
+def _refresh_state(state: _UserCacheState, image: _DayImage) -> UpdatePatch:
     """Exact mirror of :meth:`CacheUpdateServer.refresh_with_content`.
 
-    Operates on the user's state between batch segments — the scalar
-    fallback seam for events that mutate cross-batch state.
+    The refreshed table is ``image`` with the user's retained pairs laid
+    over it.  Pairs of the old image were never accessed, so the prune
+    drops all of them and only the owned queries are walked; the pair
+    and query counts follow from the images' counts.
     """
     costs = state.universe.costs
-    bytes_uploaded = _serialized_table_len(state, costs)
+    n_entries, n_pairs = _table_size(state)
+    bytes_uploaded = _wire_len(costs, n_entries, n_pairs)
 
     # Step 2: prune never-accessed and decayed pairs.
-    pairs_removed = 0
-    retained = set()
-    removals: Dict[int, set] = {}
-    for qid in list(state.registry):
-        slots = state.slots.get(qid)
-        if not slots:
-            continue
-        for rid, score, accessed in slots:
-            if not accessed or score < costs.retention_min_score:
-                removals.setdefault(qid, set()).add(rid)
-                pairs_removed += 1
-            else:
-                retained.add((qid, rid))
-    for qid, dropped in removals.items():
-        kept = [slot for slot in state.slots[qid] if slot[0] not in dropped]
+    fresh = image.slots
+    owned: Dict[int, List[List]] = {}
+    kept_pairs = 0
+    pairs_added = image.n_content
+    for qid, slots in state.slots.items():
+        kept = [
+            slot for slot in slots
+            if slot[2] and slot[1] >= costs.retention_min_score
+        ]
         if kept:
-            state.slots[qid] = kept
-        else:
-            del state.slots[qid]
+            owned[qid] = kept
+            kept_pairs += len(kept)
+    pairs_removed = n_pairs - kept_pairs
+    # Every cached query holds a pair, so the registry is the table's
+    # query set: pruned are those cached before and empty after.
+    queries_pruned = len(
+        (state.image.slots.keys() | state.slots.keys())
+        - fresh.keys()
+        - owned.keys()
+    )
 
-    # Step 3: merge the fresh popular set (max score wins).
-    pairs_added = 0
+    # Step 3: merge the fresh popular set (max score wins): retained
+    # pairs first, then the image's new results in image order.  Content
+    # entries of a retained pair do not count as added.
+    for qid, kept in owned.items():
+        by_rid = {slot[0]: slot for slot in kept}
+        for rid, score, _accessed in fresh.get(qid, ()):
+            slot = by_rid.get(rid)
+            if slot is None:
+                kept.append([rid, score, False])
+            else:
+                slot[1] = max(slot[1], score)
+                pairs_added -= 1 + image.repeats.get((qid, rid), 0)
+    state.slots = owned
+    state.image = image
     results_added = 0
     patch_files: Dict[int, int] = {}
-    for qid, rid, score, record_bytes in entries:
+    for rid, record_bytes in image.results.items():
         if rid not in state.db:
             stored = state.add_result(rid, record_bytes)
             results_added += 1
@@ -760,35 +831,22 @@ def _refresh_state(
                 + record_bytes
                 + costs.header_entry_bytes
             )
-        if (qid, rid) not in retained:
-            pairs_added += 1
-        _insert_slot(state.slots.setdefault(qid, []), rid, score, False)
-        state.registry[qid] = True
 
-    # Step 4: garbage-collect the registry and database, then compact.
-    queries_pruned = 0
-    for qid in list(state.registry):
-        if not state.slots.get(qid):
-            del state.registry[qid]
-            queries_pruned += 1
-    referenced = set()
-    for slots in state.slots.values():
-        for slot in slots:
-            referenced.add(slot[0])
+    # Step 4: garbage-collect the database, then compact.
+    referenced = {slot[0] for slots in owned.values() for slot in slots}
     results_removed = 0
-    for rid in list(state.db):
-        if rid not in referenced:
-            file_index, _offset, record_bytes = state.db.pop(rid)
-            state.file_entries[file_index] -= 1
-            state.garbage += record_bytes + costs.header_entry_bytes
-            results_removed += 1
+    for rid in sorted(state.db.keys() - image.results.keys() - referenced):
+        file_index, _offset, record_bytes = state.db.pop(rid)
+        state.file_entries[file_index] -= 1
+        state.garbage += record_bytes + costs.header_entry_bytes
+        results_removed += 1
     compacted = None
     if state.garbage > costs.compaction_threshold * max(
         sum(state.file_sizes), 1
     ):
         compacted = _compact_state(state)
 
-    bytes_downloaded = _serialized_table_len(state, costs) + sum(
+    bytes_downloaded = _wire_len(costs, *_table_size(state)) + sum(
         patch_files.values()
     )
     return UpdatePatch(
@@ -856,14 +914,14 @@ def _replay_user_arrays(
     rkeys = events["result_key"]
 
     if not daily_contents:
-        state = _UserCacheState(universe, full=False)
+        state = _UserCacheState(universe, daily=False)
         return _serve_segment(state, qid, rid, rkeys, personalized)
 
     # Daily updates: split the stream into day segments, applying the
-    # refresh mirror between them (including skipped days, in order),
-    # exactly as the scalar loop does.
-    mapped = [universe.map_content(c) for c in daily_contents]
-    state = _UserCacheState(universe, full=True)
+    # refresh between them (including skipped days, in order), exactly
+    # as the scalar loop does.
+    images = [universe.day_image(c) for c in daily_contents]
+    state = _UserCacheState(universe, daily=True)
     timestamps = events["timestamp"]
     event_day = np.minimum(
         ((timestamps - t_start) // DAY_SECONDS).astype(np.int64),
@@ -879,7 +937,7 @@ def _replay_user_arrays(
     for lo, hi in zip(starts, stops):
         segment_day = int(event_day[lo])
         while day <= segment_day:
-            patch = _refresh_state(state, mapped[day])
+            patch = _refresh_state(state, images[day])
             if patches_out is not None:
                 patches_out.append(patch)
             day += 1

@@ -20,6 +20,18 @@ class TestHash64:
     def test_64_bit_range(self):
         assert 0 <= hash64("anything") < 2**64
 
+    def test_known_digests(self):
+        """First 8 bytes (little-endian) of MD5 over "<salt>\\0<text>"."""
+        assert hash64("youtube") == 7580737438007838736
+        assert hash64("youtube", 1) == 9882406653442919817
+        assert hash64("youtube", salt=1) == 9882406653442919817
+        assert hash64("www.youtube.com") == 6397180353781193656
+        assert hash64("") == 2055833797550369956
+
+    def test_memo_is_bounded(self):
+        maxsize = hash64.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16
+
 
 class TestInsertLookup:
     def test_miss_returns_none(self):

@@ -65,3 +65,32 @@ def test_footprint_accounts_every_pair(ops):
         reference.setdefault(query, set()).add(result)
     expected_entries = sum(-(-len(r) // 2) for r in reference.values())
     assert table.n_entries == expected_entries
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "remove", "clone"]),
+            queries,
+            results,
+            scores,
+        ),
+        max_size=60,
+    ),
+    width=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=100, deadline=None)
+def test_serialized_len_matches_blob(ops, width):
+    """The wire length is computed without building the blob, on the
+    table and on clones that share entries with it."""
+    tables = [QueryHashTable(results_per_entry=width)]
+    for op, query, result, score in ops:
+        table = tables[-1]
+        if op == "insert":
+            table.insert(query, result, score)
+        elif op == "remove":
+            table.remove(query, result)
+        else:
+            tables.append(table.clone())
+        for t in tables:
+            assert t.serialized_len() == len(t.serialize())

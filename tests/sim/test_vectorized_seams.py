@@ -13,11 +13,18 @@ at daily-update boundaries.  These tests pin the seam itself:
   scalar engine's outcomes.
 """
 
+import numpy as np
 import pytest
 
+from repro.logs.columnar import EVENT_DTYPE
 from repro.logs.schema import MONTH_SECONDS
-from repro.pocketsearch.content import build_cache_content
+from repro.pocketsearch.content import (
+    CacheContent,
+    CacheEntry,
+    build_cache_content,
+)
 from repro.pocketsearch.engine import PocketSearchEngine
+from repro.pocketsearch.hashtable import hash64
 from repro.pocketsearch.manager import CacheUpdateServer
 from repro.sim.replay import (
     CacheMode,
@@ -28,7 +35,16 @@ from repro.sim.replay import (
     select_replay_users,
 )
 from repro.sim.shard import partition_shards
-from repro.sim.vectorized import DAY_SECONDS, replay_user_vectorized
+from repro.sim.vectorized import (
+    DAY_SECONDS,
+    ReplayUniverse,
+    _DayImage,
+    _UserCacheState,
+    _emit_outcomes,
+    _replay_user_arrays,
+    clear_caches,
+    replay_user_vectorized,
+)
 
 T_START = 1 * MONTH_SECONDS
 T_END = T_START + MONTH_SECONDS
@@ -192,3 +208,277 @@ class TestDegenerateBatches:
         )
         assert metrics.count == 0
         assert patches == []
+
+
+# -- the day image -----------------------------------------------------------
+#
+# The refresh lays each user's retained pairs over one shared, immutable
+# table per day's content.  A hand-built three-day scenario drives every
+# branch of that overlay through both engines; the replay tests below
+# check the image is built once and never written.
+
+
+def _events(rows):
+    """An event array for ``_replay_user_arrays`` from (t, qkey, rkey)."""
+    events = np.zeros(len(rows), dtype=EVENT_DTYPE)
+    for i, (t, qkey, rkey) in enumerate(rows):
+        events[i]["timestamp"] = t
+        events[i]["query_key"] = qkey
+        events[i]["result_key"] = rkey
+    return events
+
+
+def _scalar_events(log, content, daily, events, mode):
+    """Serve ``events`` on a real cache with the real update server."""
+    cache = make_cache(content, mode)
+    engine = PocketSearchEngine(cache)
+    server = CacheUpdateServer()
+    patches, outcomes, day = [], [], 0
+    for event in events:
+        t = float(event["timestamp"])
+        event_day = min(int((t - T_START) // DAY_SECONDS), len(daily) - 1)
+        while day <= event_day:
+            patches.append(server.refresh_with_content(cache, daily[day]))
+            day += 1
+        qkey = int(event["query_key"])
+        rkey = int(event["result_key"])
+        outcomes.append(
+            engine.serve_query(
+                query=log.query_string(qkey),
+                clicked_url=log.result_url(rkey),
+                record_bytes=_record_bytes(log, rkey),
+                navigational=bool(event["navigational"]),
+                timestamp=t,
+            ).outcome
+        )
+    return patches, outcomes, cache
+
+
+def _vectorized_events(log, content, daily, events, mode, monkeypatch):
+    """Serve ``events`` on the vectorized engine; also returns its state."""
+    states = []
+    init = _UserCacheState.__init__
+
+    def keeping(self, *args, **kwargs):
+        states.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_UserCacheState, "__init__", keeping)
+    universe = ReplayUniverse(log, content, mode)
+    patches = []
+    hit, latency, energy = _replay_user_arrays(
+        universe, events, mode, daily, T_START, patches
+    )
+    (state,) = states
+    outcomes = _emit_outcomes(universe, events, hit, latency, energy)
+    return patches, outcomes, state
+
+
+def _scalar_tables(cache):
+    """(hash table in chain order, result database in index order)."""
+    table = {
+        query: cache.hashtable.slots_for(query)
+        for query in cache.query_registry.values()
+    }
+    database = [
+        (h, s.file_index, s.offset, s.record_bytes)
+        for h, s in cache.database._index.items()
+    ]
+    return table, database
+
+
+def _vectorized_tables(log, state):
+    queries = list(state.image.slots) + [
+        qid for qid in state.slots if qid not in state.image.slots
+    ]
+    table = {
+        log.query_string(qid): [
+            (hash64(log.result_url(rid)), score, accessed)
+            for rid, score, accessed in state.slots_of(qid)
+        ]
+        for qid in queries
+    }
+    database = [
+        (hash64(log.result_url(rid)), *stored)
+        for rid, stored in state.db.items()
+    ]
+    return table, database
+
+
+class TestDayImage:
+    @pytest.fixture(scope="class")
+    def scenario(self, small_log):
+        """Three days of hand-built content and one user's clicks.
+
+        * ``a``: day 0 lists (a, a1) twice at different scores (and
+          record sizes: the first one is stored); the user
+          clicks it, and day 1 lists it twice again (a retained pair that
+          reappears: none of its entries count as added) below two new
+          results tied on score, so only the retained score keeps a1 in
+          the top two, and only the image's slot order picks a3 over a2.
+        * ``d``: the user clicks d1 once, then d2 forty times, decaying
+          d1's accessed pair below the retention threshold; day 2 merges
+          two new results after the retained d2.
+        * ``c``: only on day 0 and never clicked, so day 1 prunes the
+          query; ``filler`` pairs swap out wholesale on day 1, leaving
+          enough garbage to compact the database.
+        """
+        community = small_log.community
+        keys = []
+        seen = set()
+        for key, text in enumerate(community.query_strings):
+            if text not in seen:
+                seen.add(text)
+                keys.append(key)
+        q = dict(zip(["a", "b", "c", "d", "e"], keys[:5]))
+        fillers = keys[5:25]
+        urls = []
+        seen = set()
+        for key, url in enumerate(community.result_urls):
+            if url not in seen:
+                seen.add(url)
+                urls.append(key)
+        r = dict(zip(["a1", "a2", "a3", "b1", "c1", "d1", "d2", "e1"], urls))
+        filler_urls = urls[8:28]
+
+        def entry(qkey, rkey, score, extra_bytes=0):
+            return CacheEntry(
+                query=community.query_strings[qkey],
+                url=community.result_urls[rkey],
+                volume=1,
+                score=score,
+                navigational=False,
+                record_bytes=_record_bytes(small_log, rkey) + extra_bytes,
+            )
+
+        def content(entries):
+            return CacheContent(entries=entries, total_log_volume=100)
+
+        initial = content([entry(q["b"], r["b1"], 0.5)])
+        day0 = content(
+            [
+                entry(q["a"], r["a1"], 0.9),
+                entry(q["a"], r["a2"], 0.5),
+                entry(q["a"], r["a1"], 0.6, extra_bytes=100),
+                entry(q["b"], r["b1"], 0.7),
+                entry(q["c"], r["c1"], 0.4),
+                entry(q["d"], r["d1"], 0.8),
+            ]
+            + [entry(f, u, 0.3) for f, u in zip(fillers[:10], filler_urls)]
+        )
+        day1 = content(
+            [
+                entry(q["a"], r["a1"], 0.3),
+                entry(q["a"], r["a3"], 0.5),
+                entry(q["a"], r["a1"], 0.4),
+                entry(q["a"], r["a2"], 0.5),
+                entry(q["b"], r["b1"], 0.7),
+            ]
+            + [
+                entry(f, u, 0.3)
+                for f, u in zip(fillers[10:], filler_urls[10:])
+            ]
+        )
+        day2 = content(
+            day1.entries[:2]
+            + [
+                entry(q["e"], r["e1"], 0.6),
+                entry(q["d"], r["d1"], 0.5),
+                entry(q["d"], r["c1"], 0.5),
+            ]
+        )
+        day = DAY_SECONDS
+        rows = [(T_START + 10, q["a"], r["a1"]), (T_START + 20, q["d"], r["d1"])]
+        rows += [(T_START + 30 + i, q["d"], r["d2"]) for i in range(40)]
+        rows += [
+            (T_START + day + 10, q["b"], r["b1"]),
+            (T_START + day + 20, q["c"], r["c1"]),
+            (T_START + day + 30, q["a"], r["a3"]),
+            (T_START + day + 40, q["d"], r["d2"]),
+            (T_START + 2 * day + 10, q["e"], r["e1"]),
+            (T_START + 2 * day + 20, q["a"], r["a1"]),
+        ]
+        return {
+            "initial": initial,
+            "daily": [day0, day1, day2],
+            "events": _events(rows),
+            "q": q,
+            "r": r,
+        }
+
+    @pytest.mark.parametrize(
+        "mode", [CacheMode.FULL, CacheMode.COMMUNITY_ONLY]
+    )
+    def test_overlay_matches_scalar_server(
+        self, small_log, scenario, mode, monkeypatch
+    ):
+        args = (
+            small_log, scenario["initial"], scenario["daily"],
+            scenario["events"], mode,
+        )
+        want_patches, want_outcomes, cache = _scalar_events(*args)
+        patches, outcomes, state = _vectorized_events(*args, monkeypatch)
+        assert outcomes == want_outcomes
+        assert patches == want_patches
+        # Slot order, scores and flags per query, and the database layout.
+        assert _vectorized_tables(small_log, state) == _scalar_tables(cache)
+        # The scenario reaches every branch it claims to.
+        assert any(p.compaction is not None for p in patches)
+        assert patches[1].queries_pruned > 0
+        if mode == CacheMode.FULL:
+            q, r = scenario["q"], scenario["r"]
+            # (a, a1) was kept, so neither of its day-1 entries is new.
+            assert patches[1].pairs_added == len(
+                scenario["daily"][1].entries
+            ) - 2
+            # d1 was accessed, then decayed out; d2 stays.
+            assert patches[1].pairs_removed >= 1
+            d_slots = cache.hashtable.slots_for(small_log.query_string(q["d"]))
+            assert [s[0] for s in d_slots] == [
+                hash64(small_log.result_url(r[name]))
+                for name in ("d2", "d1", "c1")
+            ]
+
+    def test_image_is_built_once_per_content(
+        self, small_log, small_content, daily_contents, replay_users,
+        monkeypatch,
+    ):
+        built = []
+        init = _DayImage.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_DayImage, "__init__", counting)
+        clear_caches()
+        for uid in replay_users:
+            replay_user_vectorized(
+                small_log, small_content, daily_contents, CacheMode.FULL,
+                uid, T_START, T_END,
+            )
+        clear_caches()
+        # One image per daily content, plus the initial community load.
+        assert len(built) == len(daily_contents) + 1
+
+    def test_user_order_does_not_matter(
+        self, small_log, small_content, daily_contents, replay_users
+    ):
+        """The image is shared and never written: replaying two users in
+        either order on one universe gives identical results."""
+        first, second = replay_users[0], replay_users[-1]
+
+        def run(order):
+            clear_caches()
+            out = {}
+            for uid in order:
+                metrics, patches = replay_user_vectorized(
+                    small_log, small_content, daily_contents,
+                    CacheMode.FULL, uid, T_START, T_END,
+                    collect_patches=True,
+                )
+                out[uid] = (metrics.outcomes, patches)
+            clear_caches()
+            return out
+
+        assert run([first, second]) == run([second, first])
