@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.pocketsearch.hashtable import hash64
 from repro.storage.filesystem import FlashFilesystem
@@ -165,24 +165,44 @@ class ResultDatabase:
         if stored is None:
             raise KeyError(f"result hash {result_hash} not in database")
         name = self._file_name(stored.file_index)
-        entries = self._file_entries[stored.file_index]
-        header_bytes = entries * HEADER_ENTRY_BYTES
 
-        latency = DIRECTORY_SCAN_S_PER_FILE * self.n_files
-        energy = 0.0
+        def read(offset: int, length: int) -> Tuple[float, float]:
+            if length == 0:
+                return 0.0, 0.0  # an empty header is not read
+            cost = self.filesystem.read(name, offset, length)
+            return cost.latency_s, cost.energy_j
 
-        if header_bytes > 0:
-            header_cost = self.filesystem.read(name, 0, header_bytes)
-            latency += header_cost.latency_s
-            energy += header_cost.energy_j
-        latency += entries * HEADER_PARSE_S_PER_ENTRY
-
-        record_cost = self.filesystem.read(
-            name, stored.offset, stored.record_bytes
+        latency, energy = self.fetch_cost(
+            self._file_entries[stored.file_index],
+            stored.offset,
+            stored.record_bytes,
+            read,
         )
-        latency += record_cost.latency_s
-        energy += record_cost.energy_j
         return FetchResult(stored=stored, latency_s=latency, energy_j=energy)
+
+    def fetch_cost(self, entries, offset, record_bytes, read):
+        """(latency, energy) of fetching a record from a file of ``entries``.
+
+        The walk of :meth:`fetch`: directory scan, the header read (its
+        cost counts only when the file has entries) and parse, then the
+        record's pages.  ``read(offset, length)`` returns the (latency,
+        energy) of one positioned read of the file: :meth:`fetch` passes
+        one that reads the device; :meth:`FlashFilesystem.read_cost`
+        prices without accounting, over Python ints or numpy int64 arrays
+        alike, as this does.
+        """
+        header_lat, header_en = read(0, entries * HEADER_ENTRY_BYTES)
+        record_lat, record_en = read(offset, record_bytes)
+        has_header = entries > 0
+        latency = (
+            (
+                DIRECTORY_SCAN_S_PER_FILE * self.n_files
+                + header_lat * has_header
+            )
+            + entries * HEADER_PARSE_S_PER_ENTRY
+        ) + record_lat
+        energy = header_en * has_header + record_en
+        return latency, energy
 
     # -- removal and compaction ------------------------------------------------
 
@@ -219,15 +239,13 @@ class ResultDatabase:
             modelled latency/energy of the rewrite.
         """
         live = sorted(self._index.values(), key=lambda s: (s.file_index, s.offset))
-        latency = 0.0
-        energy = 0.0
         # Read every live record out of the old files.
-        for stored in live:
-            cost = self.filesystem.read(
+        reads = [
+            self.filesystem.read(
                 self._file_name(stored.file_index), stored.offset, stored.record_bytes
             )
-            latency += cost.latency_s
-            energy += cost.energy_j
+            for stored in live
+        ]
         # Rebuild the files from scratch.
         for i in range(self.n_files):
             self.filesystem.delete(self._file_name(i))
@@ -240,17 +258,36 @@ class ResultDatabase:
         self._index.clear()
         for stored in old_index:
             new_stored = self.add_result(stored.url, stored.record_bytes)
-            # add_result models the program cost through the filesystem;
-            # fold an approximation of it into the compaction totals.
-            latency += self.filesystem.open_overhead_s
-            energy += self.filesystem.open_energy_j
             assert new_stored.result_hash == stored.result_hash
+        latency, energy = self.compaction_cost(
+            [cost.latency_s for cost in reads], [cost.energy_j for cost in reads]
+        )
         return CompactionResult(
             reclaimed_bytes=reclaimed,
             live_results=len(old_index),
             latency_s=latency,
             energy_j=energy,
         )
+
+    def compaction_cost(
+        self, read_latency: List[float], read_energy: List[float]
+    ) -> Tuple[float, float]:
+        """(latency, energy) of a compaction from its live-record reads.
+
+        The reads are summed in file order, then one file open per
+        rewritten record: :meth:`add_result` models the program cost
+        through the filesystem, and this folds an approximation of it
+        into the compaction totals.
+        """
+        latency = 0.0
+        energy = 0.0
+        for lat, en in zip(read_latency, read_energy):
+            latency += lat
+            energy += en
+        for _ in read_latency:
+            latency += self.filesystem.open_overhead_s
+            energy += self.filesystem.open_energy_j
+        return latency, energy
 
     # -- stats ---------------------------------------------------------------------
 

@@ -195,13 +195,8 @@ class PocketSearchEngine:
                 )
         with tracer.span("browser_render"):
             render_s = self.browser.render(SERP_BYTES)
-        latency = (
-            lookup.lookup_latency_s + fetch_latency + render_s + MISC_LATENCY_S
-        )
-        energy = (
-            latency * self.base_power_w
-            + fetch_energy
-            + self.browser.render_energy_j(render_s)
+        latency, energy = self.hit_cost(
+            lookup.lookup_latency_s, fetch_latency, fetch_energy, render_s
         )
         breakdown = {
             "hash_table_lookup_s": lookup.lookup_latency_s,
@@ -230,17 +225,7 @@ class PocketSearchEngine:
     def _serve_miss(self, query, navigational, timestamp) -> ServeResult:
         tracer = get_tracer()
         with tracer.span("radio_fetch", radio=self.radio.name) as radio_span:
-            radio_latency = isolated_request_latency(
-                self.radio, self.query_bytes_up, self.serp_bytes_down,
-                self.server_time_s,
-            )
-            radio_parts = isolated_request_components(
-                self.radio, self.query_bytes_up, self.serp_bytes_down,
-                self.server_time_s,
-            )
-            radio_energy = (
-                radio_parts.ramp_j + radio_parts.transfer_j
-            ) + radio_parts.tail_j
+            radio_latency, radio_parts, radio_energy = self.radio_cost()
             if tracer.enabled:
                 radio_span.set_attrs(
                     model_latency_s=radio_latency, model_energy_j=radio_energy
@@ -249,11 +234,8 @@ class PocketSearchEngine:
         with tracer.span("browser_render"):
             render_s = self.browser.render(SERP_BYTES)
         lookup_s = self.cache.hashtable.lookup_latency_s
-        latency = lookup_s + radio_latency + render_s
-        energy = (
-            latency * self.base_power_w
-            + radio_energy
-            + self.browser.render_energy_j(render_s)
+        latency, energy = self.miss_cost(
+            lookup_s, radio_latency, radio_energy, render_s
         )
         breakdown = {
             "hash_table_lookup_s": lookup_s,
@@ -279,6 +261,38 @@ class PocketSearchEngine:
         return ServeResult(
             outcome=outcome, breakdown=breakdown, energy=energy_breakdown
         )
+
+    # -- cost functions (Table 4) ---------------------------------------------------
+
+    def hit_cost(self, lookup_s, fetch_latency, fetch_energy, render_s):
+        """(latency, energy) of a hit: lookup, flash fetch, render, misc.
+
+        Pure (no accounting); the fetch terms may be Python floats or
+        numpy float64 arrays alike.
+        """
+        latency = ((lookup_s + fetch_latency) + render_s) + MISC_LATENCY_S
+        energy = (
+            latency * self.base_power_w + fetch_energy
+        ) + self.browser.render_energy_j(render_s)
+        return latency, energy
+
+    def radio_cost(self):
+        """(latency, components, energy) of one isolated radio request."""
+        args = (
+            self.radio, self.query_bytes_up, self.serp_bytes_down,
+            self.server_time_s,
+        )
+        parts = isolated_request_components(*args)
+        energy = (parts.ramp_j + parts.transfer_j) + parts.tail_j
+        return isolated_request_latency(*args), parts, energy
+
+    def miss_cost(self, lookup_s, radio_latency, radio_energy, render_s):
+        """(latency, energy) of a miss: lookup, radio round trip, render."""
+        latency = (lookup_s + radio_latency) + render_s
+        energy = (
+            latency * self.base_power_w + radio_energy
+        ) + self.browser.render_energy_j(render_s)
+        return latency, energy
 
     def _trace_radio_states(self, tracer, timestamp: float) -> None:
         """Emit the implied radio state sequence of one isolated request.

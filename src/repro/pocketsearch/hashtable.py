@@ -337,10 +337,15 @@ class QueryHashTable:
 
     def serialized_len(self) -> int:
         """``len(self.serialize())``, without building the blob."""
+        return self.wire_len(self.n_entries, self.n_pairs)
+
+    @classmethod
+    def wire_len(cls, n_entries: int, n_pairs: int) -> int:
+        """Serialized length of a table of ``n_entries`` holding ``n_pairs``."""
         return (
-            self._HEADER.size
-            + self._ENTRY_HEAD.size * self.n_entries
-            + self._SLOT.size * self.n_pairs
+            cls._HEADER.size
+            + cls._ENTRY_HEAD.size * n_entries
+            + cls._SLOT.size * n_pairs
         )
 
     def serialize(self) -> bytes:

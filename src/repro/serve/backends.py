@@ -27,7 +27,7 @@ from repro.pocketsearch.content import CacheContent
 from repro.pocketsearch.engine import PocketSearchEngine
 from repro.pocketsearch.manager import CacheUpdateServer
 from repro.sim.metrics import QueryOutcome, ServiceSource
-from repro.sim.replay import DAY_SECONDS
+from repro.sim.replay import replay_day
 from repro.serve.requests import ServeRequest
 
 __all__ = [
@@ -91,12 +91,13 @@ class SearchBackend:
 class DailyUpdateBackend:
     """Apply nightly community refreshes at replay-equivalent points.
 
-    The offline harness (``_replay_user_with_updates``) refreshes the
-    community component just before serving the first event of each new
-    replay day.  A purely time-driven background task could fire while a
-    session still has yesterday's backlog queued, diverging from the
-    replay ordering; anchoring the refresh to the *event's* day keeps the
-    per-user state machine identical under any queueing.
+    The offline harness (:func:`~repro.sim.replay.replay_user` with daily
+    contents) refreshes the community component just before serving the
+    first event of each new replay day (:func:`~repro.sim.replay.replay_day`).
+    A purely time-driven background task could fire while a session still
+    has yesterday's backlog queued, diverging from the replay ordering;
+    anchoring the refresh to the *event's* day keeps the per-user state
+    machine identical under any queueing.
     """
 
     def __init__(
@@ -115,9 +116,8 @@ class DailyUpdateBackend:
     def serve(self, request: ServeRequest) -> BackendResult:
         applied = 0
         if self.daily_contents:
-            event_day = min(
-                int((request.timestamp - self.t_start) // DAY_SECONDS),
-                len(self.daily_contents) - 1,
+            event_day = replay_day(
+                request.timestamp, self.t_start, len(self.daily_contents)
             )
             while self._day <= event_day:
                 self.update_server.refresh_with_content(

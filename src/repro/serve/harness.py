@@ -31,6 +31,7 @@ from repro.obs.trace import get_tracer
 from repro.pocketsearch.content import (
     ContentPolicy,
     PAPER_OPERATING_POINT,
+    _record_bytes,
     build_cache_content,
 )
 from repro.pocketsearch.engine import PocketSearchEngine
@@ -48,7 +49,6 @@ from repro.sim.replay import (
     UserReplayResult,
     _daily_contents,
     _new_collector,
-    _record_bytes,
     make_cache,
     select_replay_users,
 )

@@ -30,6 +30,7 @@ import numpy as np
 from repro.edge.placement import assign_device_regions
 from repro.logs.generator import DIURNAL_WEIGHTS, SearchLog
 from repro.logs.schema import MONTH_SECONDS
+from repro.pocketsearch.content import _record_bytes
 from repro.serve.requests import ServeRequest
 
 __all__ = [
@@ -161,13 +162,6 @@ class _DeviceScript:
             record_bytes=template.record_bytes,
             navigational=template.navigational,
         )
-
-
-def _record_bytes(log: SearchLog, result_key: int) -> int:
-    community = log.community
-    if result_key < community.n_results:
-        return community.result_records[result_key].record_bytes
-    return 500
 
 
 def _device_scripts(

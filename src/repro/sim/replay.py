@@ -38,6 +38,7 @@ from repro.pocketsearch.content import (
     CacheContent,
     ContentPolicy,
     PAPER_OPERATING_POINT,
+    _record_bytes,
     build_cache_content,
 )
 from repro.pocketsearch.database import ResultDatabase
@@ -48,6 +49,17 @@ from repro.storage.filesystem import FlashFilesystem
 from repro.storage.flash import NandFlash
 
 DAY_SECONDS = 24 * 3600
+
+
+def replay_day(t, t_start: float, n_days: int):
+    """Replay day of an event at ``t``: whole days since ``t_start``,
+    clamped to the last of ``n_days`` mined contents.
+
+    Takes a float timestamp or a numpy float64 array of them alike.
+    """
+    return np.minimum((t - t_start) // DAY_SECONDS, n_days - 1).astype(
+        np.int64
+    )
 
 
 class CacheMode:
@@ -272,15 +284,35 @@ def replay_user(
     t_start: float,
     t_end: float,
     metrics: Optional[MetricsCollector] = None,
+    daily_contents: Optional[List[CacheContent]] = None,
 ) -> MetricsCollector:
-    """Replay one user's events in [t_start, t_end) through an engine."""
+    """Replay one user's events in [t_start, t_end) through an engine.
+
+    With ``daily_contents``, the nightly community refresh of Section
+    6.2.2 runs before the first event of each new replay day
+    (:func:`replay_day`), skipped days included, in order.
+    """
     stream = log.for_user(user_id).window(t_start, t_end)
     if metrics is None:
         metrics = MetricsCollector()
-    with get_tracer().span(
-        "replay_user", user_id=user_id, n_events=stream.n_events
+    tracer = get_tracer()
+    daily = daily_contents is not None
+    server = CacheUpdateServer() if daily else None
+    attrs = {"daily_updates": True} if daily else {}
+    with tracer.span(
+        "replay_user", user_id=user_id, n_events=stream.n_events, **attrs
     ) as span:
+        day = 0
         for i in range(stream.n_events):
+            t = float(stream.timestamps[i])
+            if daily:
+                event_day = replay_day(t, t_start, len(daily_contents))
+                while day <= event_day:
+                    with tracer.span("community_refresh", day=day):
+                        server.refresh_with_content(
+                            engine.cache, daily_contents[day]
+                        )
+                    day += 1
             qkey = int(stream.query_keys[i])
             rkey = int(stream.result_keys[i])
             result = engine.serve_query(
@@ -288,25 +320,11 @@ def replay_user(
                 clicked_url=stream.result_url(rkey),
                 record_bytes=_record_bytes(stream, rkey),
                 navigational=bool(stream.navigational[i]),
-                timestamp=float(stream.timestamps[i]),
+                timestamp=t,
             )
             metrics.record(result.outcome)
         span.set_attr("hit_rate", metrics.hit_rate)
     return metrics
-
-
-def _record_bytes(stream: SearchLog, result_key: int) -> int:
-    """Stored size of a clicked result in a per-user windowed stream.
-
-    ``stream`` is the per-user, time-windowed :class:`SearchLog` view the
-    replay loop iterates (not the full multi-user log); community results
-    carry their mined record size, unique (personal) results use a
-    nominal 500 bytes.
-    """
-    community = stream.community
-    if result_key < community.n_results:
-        return community.result_records[result_key].record_bytes
-    return 500
 
 
 def run_replay(
@@ -396,8 +414,11 @@ def replay_one_user(
     the per-user seed — is passed in explicitly, so the result is
     identical whether this runs inline or in a worker process.  The
     scalar engine replays on a clone of ``image``; the vectorized
-    engine reads ``content`` and takes ``image=None``.
+    engine reads ``content`` and takes ``image=None``.  The
+    personalization-only cache holds no community part to refresh.
     """
+    if not config.daily_updates or mode == CacheMode.PERSONALIZATION_ONLY:
+        daily_contents = None
     if config.engine == "vectorized":
         from repro.sim.vectorized import replay_one_user_vectorized
 
@@ -407,12 +428,9 @@ def replay_one_user(
         )
     engine = PocketSearchEngine(image.clone())
     metrics = _new_collector(config, user_id)
-    if config.daily_updates and mode != CacheMode.PERSONALIZATION_ONLY:
-        _replay_user_with_updates(
-            engine, log, user_id, t_start, t_end, daily_contents, metrics
-        )
-    else:
-        replay_user(engine, log, user_id, t_start, t_end, metrics)
+    replay_user(
+        engine, log, user_id, t_start, t_end, metrics, daily_contents
+    )
     return UserReplayResult(
         user_id=user_id, user_class=user_class, metrics=metrics
     )
@@ -440,46 +458,3 @@ def _daily_contents(log: SearchLog, config: ReplayConfig) -> List[CacheContent]:
         window = log.window(t_end - MONTH_SECONDS, t_end)
         contents.append(build_cache_content(window, config.policy))
     return contents
-
-
-def _replay_user_with_updates(
-    engine: PocketSearchEngine,
-    log: SearchLog,
-    user_id: int,
-    t_start: float,
-    t_end: float,
-    daily_contents: List[CacheContent],
-    metrics: Optional[MetricsCollector] = None,
-) -> MetricsCollector:
-    """Replay with a nightly community refresh (Section 6.2.2)."""
-    server = CacheUpdateServer()
-    stream = log.for_user(user_id).window(t_start, t_end)
-    if metrics is None:
-        metrics = MetricsCollector()
-    tracer = get_tracer()
-    with tracer.span(
-        "replay_user", user_id=user_id, n_events=stream.n_events,
-        daily_updates=True,
-    ) as span:
-        day = 0
-        for i in range(stream.n_events):
-            t = float(stream.timestamps[i])
-            event_day = min(
-                int((t - t_start) // DAY_SECONDS), len(daily_contents) - 1
-            )
-            while day <= event_day:
-                with tracer.span("community_refresh", day=day):
-                    server.refresh_with_content(engine.cache, daily_contents[day])
-                day += 1
-            qkey = int(stream.query_keys[i])
-            rkey = int(stream.result_keys[i])
-            result = engine.serve_query(
-                query=stream.query_string(qkey),
-                clicked_url=stream.result_url(rkey),
-                record_bytes=_record_bytes(stream, rkey),
-                navigational=bool(stream.navigational[i]),
-                timestamp=t,
-            )
-            metrics.record(result.outcome)
-        span.set_attr("hit_rate", metrics.hit_rate)
-    return metrics

@@ -5,19 +5,21 @@ The scalar harness serves one event at a time: each
 ``engine.serve_query`` call performs multiple MD5-based ``hash64``
 lookups, builds dataclasses, and walks the hash-table/ranker/database
 object graph.  All of that work is *deterministic arithmetic* over the
-event stream — the cost model is pure page math, the miss cost is a
-constant, and hit/miss classification is a membership function — so a
-whole user's stream can be evaluated as numpy array operations plus a
-small per-query "mini-sim" for ranking state.
+event stream — the costs are pure functions of the database layout, the
+miss cost is a constant, and hit/miss classification is a membership
+function — so a whole user's stream can be evaluated as numpy array
+operations plus a small per-query "mini-sim" for ranking state.
 
 Bit-identity, not approximation:
 
-* every float is accumulated in exactly the scalar engine's association
-  order (IEEE-754 addition is commutative but not associative, so the
-  expressions here mirror the scalar code's left-to-right grouping);
-* flash read costs are replicated from the page arithmetic of
-  :class:`~repro.storage.filesystem.FlashFilesystem` /
-  :class:`~repro.pocketsearch.database.ResultDatabase`;
+* every cost is priced by the models' own cost functions, called on
+  numpy arrays: :meth:`FlashFilesystem.read_cost` (over
+  :meth:`NandFlash.page_read_cost`), :meth:`ResultDatabase.fetch_cost`
+  and :meth:`~ResultDatabase.compaction_cost`, and
+  :meth:`PocketSearchEngine.hit_cost` / :meth:`~PocketSearchEngine.miss_cost`
+  of a default phone (:class:`_DefaultPhone`).  They keep one
+  left-to-right association for scalars and arrays alike, so each
+  element equals the scalar path's float;
 * ranking-score evolution (Equations 1-2) is replayed per (user, query)
   group with the same ``math.exp`` decay and stable top-2 sort;
 * outcomes are fed to the same :class:`MetricsCollector` in stream
@@ -43,203 +45,71 @@ import numpy as np
 
 from repro.logs.generator import SearchLog
 from repro.logs.schema import UserClass
-from repro.pocketsearch.content import CacheContent
-from repro.pocketsearch.database import (
-    DEFAULT_N_FILES,
-    DIRECTORY_SCAN_S_PER_FILE,
-    HEADER_ENTRY_BYTES,
-    HEADER_PARSE_S_PER_ENTRY,
-    CompactionResult,
-)
+from repro.pocketsearch.content import CacheContent, _record_bytes
+from repro.pocketsearch.database import HEADER_ENTRY_BYTES, CompactionResult
 from repro.pocketsearch.engine import (
-    KB,
-    MISC_LATENCY_S,
     RESULTS_PER_PAGE,
     _SOURCE_BY_RADIO,
+    PocketSearchEngine,
 )
 from repro.pocketsearch.hashtable import QueryHashTable, hash64
 from repro.pocketsearch.manager import CacheUpdateServer, UpdatePatch
-from repro.pocketsearch.ranking import PersonalizedRanker
-from repro.radio.energy import (
-    isolated_request_components,
-    isolated_request_latency,
-)
-from repro.radio.models import THREE_G
-from repro.sim.browser import RADIO_SERP_BYTES, SERP_BYTES, Browser
+from repro.sim.browser import SERP_BYTES
 from repro.sim.metrics import MetricsCollector, QueryOutcome, ServiceSource
-from repro.storage.filesystem import FlashFilesystem
-from repro.storage.flash import NandFlash
+from repro.sim.replay import (
+    DAY_SECONDS,
+    CacheMode,
+    UserReplayResult,
+    _new_collector,
+    make_cache,
+    replay_day,
+)
 
 __all__ = [
-    "EngineCostModel",
+    "DAY_SECONDS",
     "replay_one_user_vectorized",
     "replay_user_vectorized",
 ]
 
-DAY_SECONDS = 24 * 3600
 
+class _DefaultPhone:
+    """The phone every scalar replay starts from, and its constant costs.
 
-class EngineCostModel:
-    """Constants of the default serving stack, pulled from the real models.
-
-    Instantiating the same default objects the scalar path uses keeps the
-    vectorized engine in lockstep with any future change to the model
-    defaults (rather than hard-coding today's numbers).
+    A :class:`PocketSearchEngine` over the scalar harness's own
+    :func:`make_cache`, with its database, the update server and the
+    ranker's decay.  The hit, miss and render constants come from the
+    engine's cost functions, so a change to any model default moves both
+    engines alike.
     """
 
     def __init__(self) -> None:
-        table = QueryHashTable()
-        browser = Browser()
-        flash = NandFlash()
-        fs = FlashFilesystem(flash)
-        server = CacheUpdateServer()
-
+        engine = PocketSearchEngine(make_cache(None, CacheMode.FULL))
+        table = engine.cache.hashtable
+        self.engine = engine
+        self.database = engine.cache.database
+        self.read_cost = self.database.filesystem.read_cost
+        self.server = CacheUpdateServer()
+        self.width = table.results_per_entry
         self.lookup_s = table.lookup_latency_s
-        self.results_per_entry = table.results_per_entry
-        self.render_s = browser.model.render_seconds(SERP_BYTES)
-        self.render_energy_j = browser.render_energy_j(self.render_s)
-        self.base_power_w = 0.9  # PocketSearchEngine default
-        self.misc_s = MISC_LATENCY_S
-        self.top_k = RESULTS_PER_PAGE
-
-        radio_latency = isolated_request_latency(
-            THREE_G, 1 * KB, RADIO_SERP_BYTES, 0.35
+        self.render_s = engine.browser.model.render_seconds(SERP_BYTES)
+        radio_latency, _parts, radio_energy = engine.radio_cost()
+        self.miss_latency_s, self.miss_energy_j = engine.miss_cost(
+            self.lookup_s, radio_latency, radio_energy, self.render_s
         )
-        parts = isolated_request_components(
-            THREE_G, 1 * KB, RADIO_SERP_BYTES, 0.35
-        )
-        radio_energy = (parts.ramp_j + parts.transfer_j) + parts.tail_j
-        self.miss_latency_s = (
-            self.lookup_s + radio_latency
-        ) + self.render_s
-        self.miss_energy_j = (
-            self.miss_latency_s * self.base_power_w + radio_energy
-        ) + self.render_energy_j
-        self.miss_source = _SOURCE_BY_RADIO[THREE_G.name]
-
-        # Flash / database read-cost components.
-        self.n_files = DEFAULT_N_FILES
-        self.page_bytes = flash.geometry.page_bytes
-        self.read_page_s = flash.read_page_s
-        self.read_bw_bps = flash.read_bandwidth_bps
-        self.read_page_energy_j = flash.read_page_energy_j
-        self.energy_per_byte_j = flash.energy_per_byte_j
-        self.open_s = fs.open_overhead_s
-        self.open_j = fs.open_energy_j
-        self.dir_scan_s = DIRECTORY_SCAN_S_PER_FILE * self.n_files
-        self.header_entry_bytes = HEADER_ENTRY_BYTES
-        self.header_parse_s = HEADER_PARSE_S_PER_ENTRY
-
+        self.miss_source = _SOURCE_BY_RADIO[engine.radio.name]
         # Personalization decay factor (Equation 2), evaluated once: the
         # scalar ranker calls math.exp per click, which is deterministic.
-        self.decay = math.exp(-PersonalizedRanker().decay_lambda)
-
-        # Update-protocol constants (Section 5.4).
-        self.retention_min_score = server.retention_min_score
-        self.compaction_threshold = server.compaction_threshold
-        self.header_len = QueryHashTable._HEADER.size
-        self.entry_head_len = QueryHashTable._ENTRY_HEAD.size
-        self.slot_len = QueryHashTable._SLOT.size
-
-    def read_cost(self, offset: int, nbytes: int) -> Tuple[float, float]:
-        """(latency, energy) of one positioned file read, scalar path."""
-        page = self.page_bytes
-        first = offset // page
-        last = (offset + nbytes - 1) // page
-        pages = last - first + 1
-        moved = pages * page
-        latency = (
-            pages * self.read_page_s + moved / self.read_bw_bps
-        ) + self.open_s
-        energy = (
-            pages * self.read_page_energy_j + moved * self.energy_per_byte_j
-        ) + self.open_j
-        return latency, energy
-
-    def fetch_cost(
-        self, entries: int, offset: int, nbytes: int
-    ) -> Tuple[float, float]:
-        """(latency, energy) of one database fetch, scalar path.
-
-        Mirrors :meth:`ResultDatabase.fetch` exactly, including the
-        skipped header read on an empty file.
-        """
-        latency = self.dir_scan_s
-        energy = 0.0
-        if entries > 0:
-            h_lat, h_en = self.read_cost(0, entries * self.header_entry_bytes)
-            latency += h_lat
-            energy += h_en
-        latency += entries * self.header_parse_s
-        r_lat, r_en = self.read_cost(offset, nbytes)
-        latency += r_lat
-        energy += r_en
-        return latency, energy
-
-    def fetch_cost_arrays(
-        self, entries: np.ndarray, offsets: np.ndarray, nbytes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`fetch_cost` over int64 arrays.
-
-        Every intermediate mirrors the scalar association order; adding a
-        0.0 header term for empty files is exact (x + 0.0 == x for the
-        finite non-negative costs involved), so results are bitwise equal
-        to the scalar path.
-        """
-        page = self.page_bytes
-        header_bytes = entries * self.header_entry_bytes
-        h_pages = np.where(entries > 0, (header_bytes - 1) // page + 1, 0)
-        h_moved = h_pages * page
-        h_lat = (
-            h_pages * self.read_page_s + h_moved / self.read_bw_bps
-        ) + self.open_s
-        h_en = (
-            h_pages * self.read_page_energy_j
-            + h_moved * self.energy_per_byte_j
-        ) + self.open_j
-        empty = entries == 0
-        h_lat = np.where(empty, 0.0, h_lat)
-        h_en = np.where(empty, 0.0, h_en)
-
-        first = offsets // page
-        last = (offsets + nbytes - 1) // page
-        r_pages = last - first + 1
-        r_moved = r_pages * page
-        r_lat = (
-            r_pages * self.read_page_s + r_moved / self.read_bw_bps
-        ) + self.open_s
-        r_en = (
-            r_pages * self.read_page_energy_j
-            + r_moved * self.energy_per_byte_j
-        ) + self.open_j
-
-        latency = (
-            (self.dir_scan_s + h_lat) + entries * self.header_parse_s
-        ) + r_lat
-        energy = h_en + r_en
-        return latency, energy
-
-    def hit_cost_arrays(
-        self, fetch_lat: np.ndarray, fetch_en: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Hit latency/energy from summed fetch costs (scalar grouping)."""
-        latency = (
-            (self.lookup_s + fetch_lat) + self.render_s
-        ) + self.misc_s
-        energy = (
-            latency * self.base_power_w + fetch_en
-        ) + self.render_energy_j
-        return latency, energy
+        self.decay = math.exp(-engine.cache.ranker.decay_lambda)
 
 
-_COST_MODEL: Optional[EngineCostModel] = None
+_PHONE: Optional[_DefaultPhone] = None
 
 
-def _cost_model() -> EngineCostModel:
-    global _COST_MODEL
-    if _COST_MODEL is None:
-        _COST_MODEL = EngineCostModel()
-    return _COST_MODEL
+def _default_phone() -> _DefaultPhone:
+    global _PHONE
+    if _PHONE is None:
+        _PHONE = _DefaultPhone()
+    return _PHONE
 
 
 def _canonical_ids(strings: List[str]):
@@ -333,7 +203,7 @@ class ReplayUniverse:
     def __init__(
         self, log: SearchLog, content: Optional[CacheContent], mode: str
     ) -> None:
-        self.costs = _cost_model()
+        self.phone = _default_phone()
         self.log = log
         self.mode = mode
         community = log.community
@@ -358,26 +228,23 @@ class ReplayUniverse:
         self._static_cost: Dict[int, Tuple[float, float]] = {}
         self._images: Dict[int, Tuple[CacheContent, _DayImage]] = {}
         self._last_image: Optional[_DayImage] = None
-        from repro.sim.replay import CacheMode
 
         # Mirror of the community bulk-load (make_cache + load_community).
         if mode == CacheMode.PERSONALIZATION_ONLY:
             content = None  # scalar make_cache never loads community here
         if content is None:
-            self.image0 = _DayImage([], self.costs.results_per_entry)
+            self.image0 = _DayImage([], self.phone.width)
         else:
             self.image0 = self.day_image(content)
         self.db0: Dict[int, Tuple[int, int, int]] = {}
-        self.file_sizes0 = [0] * self.costs.n_files
-        self.file_entries0 = [0] * self.costs.n_files
+        self.file_sizes0 = [0] * self.phone.database.n_files
+        self.file_entries0 = [0] * self.phone.database.n_files
         for rid, record_bytes in self.image0.results.items():
             file_index = self.file_of(rid)
             self.db0[rid] = (
                 file_index, self.file_sizes0[file_index], record_bytes
             )
-            self.file_sizes0[file_index] += (
-                record_bytes + self.costs.header_entry_bytes
-            )
+            self.file_sizes0[file_index] += record_bytes + HEADER_ENTRY_BYTES
             self.file_entries0[file_index] += 1
 
     # -- construction helpers ------------------------------------------------
@@ -393,7 +260,7 @@ class ReplayUniverse:
             return cached[1]
         image = _DayImage(
             self.map_content(content),
-            self.costs.results_per_entry,
+            self.phone.width,
             self._last_image,
         )
         self._images[id(content)] = (content, image)
@@ -451,23 +318,20 @@ class ReplayUniverse:
         return rid
 
     def record_bytes_of(self, rkeys: np.ndarray) -> np.ndarray:
-        """Stored size per clicked result (community mined size, else 500).
+        """Stored size per clicked result: the community result's mined
+        size, else the default (:func:`repro.pocketsearch.content._record_bytes`).
 
         Resolved per distinct result key through a cache: community sizes
         are a computed property of ~1M records at paper scale, so an
         eager table would cost more than every replay that uses it.
         """
-        records = self.log.community.result_records
-        n_results = self.n_results
+        log = self.log
         cache = self._rb_of_rkey
         out = np.empty(len(rkeys), dtype=np.int64)
         for i, rkey in enumerate(rkeys.tolist()):
             rb = cache.get(rkey)
             if rb is None:
-                rb = (
-                    records[rkey].record_bytes if rkey < n_results else 500
-                )
-                cache[rkey] = rb
+                rb = cache[rkey] = _record_bytes(log, rkey)
             out[i] = rb
         return out
 
@@ -475,7 +339,8 @@ class ReplayUniverse:
         """Database file index of a result: hash64(url) % n_files."""
         cached = self._file_of.get(rid)
         if cached is None:
-            cached = hash64(self.log.result_url(rid)) % self.costs.n_files
+            n_files = self.phone.database.n_files
+            cached = hash64(self.log.result_url(rid)) % n_files
             self._file_of[rid] = cached
         return cached
 
@@ -549,9 +414,7 @@ class _UserCacheState:
         file_index = self.universe.file_of(rid)
         stored = (file_index, self.file_sizes[file_index], record_bytes)
         self.db[rid] = stored
-        self.file_sizes[file_index] += (
-            record_bytes + self.universe.costs.header_entry_bytes
-        )
+        self.file_sizes[file_index] += record_bytes + HEADER_ENTRY_BYTES
         self.file_entries[file_index] += 1
         return stored
 
@@ -571,7 +434,7 @@ def _serve_segment(
     Returns (hit, latency, energy) arrays.  Mutates ``state`` exactly as
     the scalar engine's click path would (personalized mode only).
     """
-    costs = state.universe.costs
+    phone = state.universe.phone
     n = len(qid)
     unique_q, first_q_idx, inv_q = np.unique(
         qid, return_index=True, return_inverse=True
@@ -589,8 +452,8 @@ def _serve_segment(
         hit = present0[inv_q]
 
     if not personalized:
-        latency = np.full(n, costs.miss_latency_s)
-        energy = np.full(n, costs.miss_energy_j)
+        latency = np.full(n, phone.miss_latency_s)
+        energy = np.full(n, phone.miss_energy_j)
         static = None if state.daily else state.universe._static_cost
         for g, u in enumerate(unique_q.tolist()):
             if not present0[g]:
@@ -613,13 +476,13 @@ def _serve_segment(
         int(i) for i in first_r_idx.tolist()
         if not state.contains_result(int(rid[i]))
     )
-    n_files = costs.n_files
+    n_files = phone.database.n_files
     sizes_delta = np.zeros((n + 1, n_files), dtype=np.int64)
     counts_delta = np.zeros((n + 1, n_files), dtype=np.int64)
     add_files = [state.universe.file_of(int(rid[i])) for i in added_rows]
     for i, file_index in zip(added_rows, add_files):
         sizes_delta[i + 1, file_index] = (
-            int(record_bytes[i]) + costs.header_entry_bytes
+            int(record_bytes[i]) + HEADER_ENTRY_BYTES
         )
         counts_delta[i + 1, file_index] = 1
     base_sizes = np.asarray(state.file_sizes, dtype=np.int64)
@@ -645,7 +508,7 @@ def _serve_segment(
     # each click, then the Equations (1)-(2) score updates.
     top1 = np.full(n, -1, dtype=np.int64)
     top2 = np.full(n, -1, dtype=np.int64)
-    decay = costs.decay
+    decay = phone.decay
     order = np.argsort(inv_q, kind="stable")
     counts = np.bincount(inv_q, minlength=len(unique_q))
     boundaries = np.cumsum(counts)
@@ -686,8 +549,8 @@ def _serve_segment(
                 slots.append([clicked, 1.0, True])
 
     # Vectorized fetch costing over the hit rows.
-    latency = np.full(n, costs.miss_latency_s)
-    energy = np.full(n, costs.miss_energy_j)
+    latency = np.full(n, phone.miss_latency_s)
+    energy = np.full(n, phone.miss_energy_j)
     hit_rows = np.flatnonzero(hit)
     if len(hit_rows):
         n_hits = len(hit_rows)
@@ -705,14 +568,20 @@ def _serve_segment(
             second = top2_list[i]
             if second >= 0:
                 f2[k], o2[k], b2[k] = locate(second)
-        e1 = counts_before[hit_rows, f1]
-        lat1, en1 = costs.fetch_cost_arrays(e1, o1, b1)
+        fetch_cost = phone.database.fetch_cost
+        lat1, en1 = fetch_cost(
+            counts_before[hit_rows, f1], o1, b1, phone.read_cost
+        )
+        lat2, en2 = fetch_cost(
+            counts_before[hit_rows, f2], o2, b2, phone.read_cost
+        )
         has2 = top2[hit_rows] >= 0
-        e2 = counts_before[hit_rows, f2]
-        lat2, en2 = costs.fetch_cost_arrays(e2, o2, b2)
-        fetch_lat = lat1 + np.where(has2, lat2, 0.0)
-        fetch_en = en1 + np.where(has2, en2, 0.0)
-        hit_lat, hit_en = costs.hit_cost_arrays(fetch_lat, fetch_en)
+        hit_lat, hit_en = phone.engine.hit_cost(
+            phone.lookup_s,
+            lat1 + np.where(has2, lat2, 0.0),
+            en1 + np.where(has2, en2, 0.0),
+            phone.render_s,
+        )
         latency[hit_rows] = hit_lat
         energy[hit_rows] = hit_en
     return hit, latency, energy
@@ -726,23 +595,22 @@ def _static_hit_cost(
     Community-only mode never mutates scores or the database between
     refreshes, so each cached query has one constant (latency, energy).
     """
-    costs = state.universe.costs
+    phone = state.universe.phone
     slots = state.slots_of(qid)
     ranked = sorted(slots, key=lambda slot: slot[1], reverse=True)
     fetch_lat = 0.0
     fetch_en = 0.0
-    for slot in ranked[: costs.top_k]:
+    for slot in ranked[:RESULTS_PER_PAGE]:
         file_index, offset, record_bytes = state.locate(slot[0])
-        lat, en = costs.fetch_cost(
-            state.file_entries[file_index], offset, record_bytes
+        lat, en = phone.database.fetch_cost(
+            state.file_entries[file_index], offset, record_bytes,
+            phone.read_cost,
         )
         fetch_lat += lat
         fetch_en += en
-    latency = ((costs.lookup_s + fetch_lat) + costs.render_s) + costs.misc_s
-    energy = (
-        latency * costs.base_power_w + fetch_en
-    ) + costs.render_energy_j
-    return latency, energy
+    return phone.engine.hit_cost(
+        phone.lookup_s, fetch_lat, fetch_en, phone.render_s
+    )
 
 
 # -- daily refresh --------------------------------------------------------
@@ -751,7 +619,7 @@ def _static_hit_cost(
 def _table_size(state: _UserCacheState) -> Tuple[int, int]:
     """(entries, pairs) of the user's hash table: the image's counts
     with the owned queries laid over it."""
-    width = state.universe.costs.results_per_entry
+    width = state.universe.phone.width
     base = state.image.slots
     n_entries = state.image.n_entries
     n_pairs = state.image.n_pairs
@@ -763,15 +631,6 @@ def _table_size(state: _UserCacheState) -> Tuple[int, int]:
     return n_entries, n_pairs
 
 
-def _wire_len(costs: EngineCostModel, n_entries: int, n_pairs: int) -> int:
-    """Wire-format length of a hash table (Section 5.4)."""
-    return (
-        costs.header_len
-        + costs.entry_head_len * n_entries
-        + costs.slot_len * n_pairs
-    )
-
-
 def _refresh_state(state: _UserCacheState, image: _DayImage) -> UpdatePatch:
     """Exact mirror of :meth:`CacheUpdateServer.refresh_with_content`.
 
@@ -780,9 +639,9 @@ def _refresh_state(state: _UserCacheState, image: _DayImage) -> UpdatePatch:
     drops all of them and only the owned queries are walked; the pair
     and query counts follow from the images' counts.
     """
-    costs = state.universe.costs
+    server = state.universe.phone.server
     n_entries, n_pairs = _table_size(state)
-    bytes_uploaded = _wire_len(costs, n_entries, n_pairs)
+    bytes_uploaded = QueryHashTable.wire_len(n_entries, n_pairs)
 
     # Step 2: prune never-accessed and decayed pairs.
     fresh = image.slots
@@ -792,7 +651,7 @@ def _refresh_state(state: _UserCacheState, image: _DayImage) -> UpdatePatch:
     for qid, slots in state.slots.items():
         kept = [
             slot for slot in slots
-            if slot[2] and slot[1] >= costs.retention_min_score
+            if slot[2] and slot[1] >= server.retention_min_score
         ]
         if kept:
             owned[qid] = kept
@@ -829,7 +688,7 @@ def _refresh_state(state: _UserCacheState, image: _DayImage) -> UpdatePatch:
             patch_files[stored[0]] = (
                 patch_files.get(stored[0], 0)
                 + record_bytes
-                + costs.header_entry_bytes
+                + HEADER_ENTRY_BYTES
             )
 
     # Step 4: garbage-collect the database, then compact.
@@ -838,15 +697,15 @@ def _refresh_state(state: _UserCacheState, image: _DayImage) -> UpdatePatch:
     for rid in sorted(state.db.keys() - image.results.keys() - referenced):
         file_index, _offset, record_bytes = state.db.pop(rid)
         state.file_entries[file_index] -= 1
-        state.garbage += record_bytes + costs.header_entry_bytes
+        state.garbage += record_bytes + HEADER_ENTRY_BYTES
         results_removed += 1
     compacted = None
-    if state.garbage > costs.compaction_threshold * max(
+    if state.garbage > server.compaction_threshold * max(
         sum(state.file_sizes), 1
     ):
         compacted = _compact_state(state)
 
-    bytes_downloaded = _wire_len(costs, *_table_size(state)) + sum(
+    bytes_downloaded = QueryHashTable.wire_len(*_table_size(state)) + sum(
         patch_files.values()
     )
     return UpdatePatch(
@@ -864,24 +723,20 @@ def _refresh_state(state: _UserCacheState, image: _DayImage) -> UpdatePatch:
 
 def _compact_state(state: _UserCacheState) -> CompactionResult:
     """Exact mirror of :meth:`ResultDatabase.compact` on the state."""
-    costs = state.universe.costs
-    live = sorted(state.db.items(), key=lambda kv: (kv[1][0], kv[1][1]))
-    latency = 0.0
-    energy = 0.0
-    for _rid, (_file, offset, record_bytes) in live:
-        lat, en = costs.read_cost(offset, record_bytes)
-        latency += lat
-        energy += en
+    phone = state.universe.phone
+    live = np.array(sorted(state.db.values()), dtype=np.int64).reshape(-1, 3)
+    read_lat, read_en = phone.read_cost(live[:, 1], live[:, 2])
+    latency, energy = phone.database.compaction_cost(
+        read_lat.tolist(), read_en.tolist()
+    )
     reclaimed = state.garbage
     state.garbage = 0
     old = list(state.db.items())  # preserves _index insertion order
-    state.file_sizes = [0] * costs.n_files
-    state.file_entries = [0] * costs.n_files
+    state.file_sizes = [0] * phone.database.n_files
+    state.file_entries = [0] * phone.database.n_files
     state.db = {}
     for rid, (_file, _offset, record_bytes) in old:
         state.add_result(rid, record_bytes)
-        latency += costs.open_s
-        energy += costs.open_j
     return CompactionResult(
         reclaimed_bytes=reclaimed,
         live_results=len(old),
@@ -902,8 +757,6 @@ def _replay_user_arrays(
     patches_out: Optional[List[UpdatePatch]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(hit, latency, energy) arrays of one user's replay."""
-    from repro.sim.replay import CacheMode
-
     personalized = mode != CacheMode.COMMUNITY_ONLY
     n = len(events)
     if n == 0:
@@ -922,10 +775,8 @@ def _replay_user_arrays(
     # as the scalar loop does.
     images = [universe.day_image(c) for c in daily_contents]
     state = _UserCacheState(universe, daily=True)
-    timestamps = events["timestamp"]
-    event_day = np.minimum(
-        ((timestamps - t_start) // DAY_SECONDS).astype(np.int64),
-        len(daily_contents) - 1,
+    event_day = replay_day(
+        events["timestamp"], t_start, len(daily_contents)
     )
     hits: List[np.ndarray] = []
     lats: List[np.ndarray] = []
@@ -966,7 +817,7 @@ def _emit_outcomes(
     semantics are unchanged (dataclass ``__eq__`` compares fields).
     """
     cache_source = ServiceSource.CACHE
-    miss_source = universe.costs.miss_source
+    miss_source = universe.phone.miss_source
     qstr = universe.qstr
     new = object.__new__
     out = []
@@ -1069,7 +920,7 @@ def replay_user_vectorized(
 def replay_one_user_vectorized(
     log: SearchLog,
     content: Optional[CacheContent],
-    daily_contents: List[CacheContent],
+    daily_contents: Optional[List[CacheContent]],
     config,
     mode: str,
     user_class: UserClass,
@@ -1077,17 +928,15 @@ def replay_one_user_vectorized(
     t_start: float,
     t_end: float,
 ):
-    """Vectorized counterpart of :func:`repro.sim.replay.replay_one_user`."""
-    from repro.sim.replay import CacheMode, UserReplayResult, _new_collector
+    """Vectorized counterpart of :func:`repro.sim.replay.replay_one_user`.
 
-    use_daily = (
-        config.daily_updates and mode != CacheMode.PERSONALIZATION_ONLY
-    )
+    ``daily_contents`` is ``None`` when the user's cache is not refreshed.
+    """
     metrics = _new_collector(config, user_id)
     replay_user_vectorized(
         log,
         content,
-        daily_contents if use_daily else None,
+        daily_contents,
         mode,
         user_id,
         t_start,

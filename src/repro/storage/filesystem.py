@@ -190,15 +190,29 @@ class FlashFilesystem:
                 f"read [{offset}, {offset + length}) out of bounds for "
                 f"{name!r} of size {entry.size_bytes}"
             )
-        geometry = self.flash.geometry
-        if length == 0:
-            pages = 0
-        else:
-            first_page = offset // geometry.page_bytes
-            last_page = (offset + length - 1) // geometry.page_bytes
-            pages = last_page - first_page + 1
-        cost = self.flash.read_pages(pages)
+        cost = self.flash.read_pages(self.covering_pages(offset, length))
         return self._with_open_cost(cost)
+
+    def covering_pages(self, offset, length):
+        """Pages a read of ``length`` bytes at ``offset`` touches.
+
+        Takes Python ints or numpy int64 arrays alike; an empty read
+        touches no page.
+        """
+        page = self.flash.geometry.page_bytes
+        first = offset // page
+        last = (offset + length - 1) // page
+        return (last - first + 1) * (length > 0)
+
+    def read_cost(self, offset, length):
+        """(latency, energy) of a positioned read, with no accounting.
+
+        Open overhead plus the covering pages: what :meth:`read` charges,
+        over Python ints or numpy int64 arrays alike.
+        """
+        return self._plus_open(
+            *self.flash.page_read_cost(self.covering_pages(offset, length))
+        )
 
     def delete(self, name: str) -> None:
         """Delete a file and release its pages."""
@@ -235,9 +249,11 @@ class FlashFilesystem:
             )
         self._pages_used += pages
 
+    def _plus_open(self, latency, energy):
+        return latency + self.open_overhead_s, energy + self.open_energy_j
+
     def _with_open_cost(self, cost: AccessResult) -> AccessResult:
+        latency, energy = self._plus_open(cost.latency_s, cost.energy_j)
         return AccessResult(
-            latency_s=cost.latency_s + self.open_overhead_s,
-            energy_j=cost.energy_j + self.open_energy_j,
-            bytes_moved=cost.bytes_moved,
+            latency_s=latency, energy_j=energy, bytes_moved=cost.bytes_moved
         )

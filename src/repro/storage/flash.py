@@ -120,12 +120,22 @@ class NandFlash(MemoryDevice):
         twin.stats = replace(self.stats)
         return twin
 
+    def page_read_cost(self, npages):
+        """(latency, energy) of reading ``npages`` whole pages.
+
+        Command plus transfer cost, with no accounting.  Takes a Python
+        int or a numpy int64 array of page counts alike.
+        """
+        nbytes = npages * self.geometry.page_bytes
+        latency = npages * self.read_page_s + nbytes / self.read_bandwidth_bps
+        energy = npages * self.read_page_energy_j + nbytes * self.energy_per_byte_j
+        return latency, energy
+
     def read_pages(self, npages: int) -> AccessResult:
         """Read ``npages`` whole pages (command + transfer cost)."""
         self._check_pages(npages)
         nbytes = npages * self.geometry.page_bytes
-        latency = npages * self.read_page_s + nbytes / self.read_bandwidth_bps
-        energy = npages * self.read_page_energy_j + nbytes * self.energy_per_byte_j
+        latency, energy = self.page_read_cost(npages)
         self.stats.page_reads += npages
         return self._log(latency, energy, nbytes, reads=1, bytes_read=nbytes)
 
